@@ -94,10 +94,6 @@ double cost_feature(const OpPlan& p, index_t out_cols) {
   return static_cast<double>(p.nnz) * static_cast<double>(std::max<index_t>(1, out_cols));
 }
 
-int backend_index(core::ExecBackend b) {
-  return b == core::ExecBackend::kSim ? 1 : 0;
-}
-
 constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
 }  // namespace
@@ -492,9 +488,10 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
   }
 
   // Device-resident plan: the primary bundle on device 0, a cached
-  // whole-range replica elsewhere (native only -- the simulator is pinned to
-  // the primary, where the UnifiedPlan lives). Compatible requests share the
-  // plan by construction, so one view serves the whole batch.
+  // whole-range replica elsewhere (native only -- the simulator runs through
+  // run(), always on the primary, where the UnifiedPlan lives). Compatible
+  // requests share the plan by construction, so one view serves the whole
+  // batch.
   std::shared_ptr<const pipeline::CachedPlan> replica;
   core::FcooView view;
   std::array<const index_t*, kMaxProductModes> px{};
@@ -735,8 +732,8 @@ void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
   if (!out_buf.empty()) rts[0]->scratch.push_back(std::move(out_buf));
 }
 
-double Engine::predict_locked(OpKind kind, core::ExecBackend backend, double x) const {
-  const CostCell& c = cost_cells_[static_cast<int>(kind)][backend_index(backend)];
+double Engine::predict_locked(OpKind kind, double x) const {
+  const CostCell& c = cost_cells_[static_cast<int>(kind)];
   if (c.n < kCostModelMinSamples) return -1.0;
   const double n = static_cast<double>(c.n);
   const double denom = n * c.sum_xx - c.sum_x * c.sum_x;
@@ -756,11 +753,9 @@ double Engine::predict_locked(OpKind kind, core::ExecBackend backend, double x) 
 double Engine::global_mean_locked() const {
   double sum = 0.0;
   std::uint64_t n = 0;
-  for (const auto& row : cost_cells_) {
-    for (const CostCell& c : row) {
-      sum += c.sum_y;
-      n += c.n;
-    }
+  for (const CostCell& c : cost_cells_) {
+    sum += c.sum_y;
+    n += c.n;
   }
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
@@ -787,16 +782,13 @@ unsigned Engine::pick_device_locked(Job& job) {
   const OpPlan& p = *req.plan;
   const unsigned n = static_cast<unsigned>(rt_.size());
   const double x = cost_feature(p, req.out_cols);
-  const double pred = predict_locked(p.kind, req.options.backend, x);
+  const double pred = predict_locked(p.kind, x);
   job.predicted = pred >= 0.0;
   job.pred_s = job.predicted ? pred : global_mean_locked();
 
-  // Pins: the simulator needs the primary's UnifiedPlan; a sharded job's
-  // reservation is anchored at device 0 (its worker performs it).
-  if (req.options.backend == core::ExecBackend::kSim ||
-      req.options.shard.num_devices > 1 || n <= 1) {
-    return 0;
-  }
+  // The one pin: a sharded job's reservation is anchored at device 0 (its
+  // worker performs it).
+  if (req.options.shard.num_devices > 1 || n <= 1) return 0;
 
   // Batch-affinity placement first: a job that could fuse with one already
   // queued lands on that job's device, so the worker's coalescing pop (and
@@ -892,10 +884,12 @@ std::future<void> Engine::submit(OpRequest req, JobRecord* record, Admission adm
   validate_request(req);
   const OpPlan& p = *req.plan;
   core::validate(p.part, req.options, p.stream);
+  // Submitted jobs are native-only, so every device can run any of them. The
+  // simulator is the fidelity oracle and runs through run().
+  if (req.options.backend != core::ExecBackend::kNative) {
+    throw core::InvalidOptions("Engine::submit: jobs require the native backend");
+  }
   if (req.options.shard.num_devices > 1) {
-    if (req.options.backend != core::ExecBackend::kNative) {
-      throw core::InvalidOptions("Engine::submit: sharded jobs require the native backend");
-    }
     // Grow on the submitting thread: ensure_devices waits for idleness, which
     // a worker (whose own job counts as active) could never establish.
     ensure_devices(req.options.shard.num_devices);
@@ -960,11 +954,9 @@ int Engine::steal_victim_locked(unsigned d) const {
     const auto& q = rt_[v].queue;
     std::size_t depth = 0;
     for (const Job& j : q) {
-      // Pinned jobs (sim backend, sharded reservations) execute only where
-      // placed; everything else is device-agnostic by construction.
-      if (j.req.options.backend == core::ExecBackend::kSim) continue;
-      if (j.req.options.shard.num_devices > 1) continue;
-      ++depth;
+      // Sharded reservations execute only where placed; everything else is
+      // device-agnostic by construction.
+      if (j.req.options.shard.num_devices <= 1) ++depth;
     }
     if (depth == 0) continue;
     // Steal backlog the victim cannot service promptly: its worker is mid-
@@ -1032,16 +1024,12 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
       if (at != kNoJob) {
         batch = take_group_locked(d, at);
       } else {
-        // Steal the first STEALABLE job, not the head: the head may be
-        // pinned (sim-backend, or a sharded job that must reserve from its
-        // own device). steal_victim_locked guarantees one exists.
+        // Steal the first STEALABLE job, not the head: the head may be a
+        // sharded job that must reserve from its own device.
+        // steal_victim_locked guarantees one exists.
         const auto& vq = rt_[static_cast<unsigned>(victim)].queue;
         std::size_t sat = 0;
-        while (sat < vq.size() &&
-               (vq[sat].req.options.backend == core::ExecBackend::kSim ||
-                vq[sat].req.options.shard.num_devices > 1)) {
-          ++sat;
-        }
+        while (sat < vq.size() && vq[sat].req.options.shard.num_devices > 1) ++sat;
         UST_ENSURES(sat < vq.size());
         batch = take_group_locked(static_cast<unsigned>(victim), sat);
         stole = true;
@@ -1156,8 +1144,7 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
                                 static_cast<std::uint32_t>(batch.size()), share});
         // Feed the cost model with the amortised share: that is also what
         // placement sums, so backlog estimates stay in one unit.
-        CostCell& cell = cost_cells_[static_cast<int>(p.kind)]
-                                    [backend_index(j.req.options.backend)];
+        CostCell& cell = cost_cells_[static_cast<int>(p.kind)];
         const double x = cost_feature(p, j.req.out_cols);
         cell.sum_x += x;
         cell.sum_y += share;

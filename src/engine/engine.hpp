@@ -13,10 +13,10 @@
 // to per-device sub-queues by the cost-model scheduler (DESIGN.md §15): a job
 // batch-compatible with an already-queued job lands on that job's device
 // (batch affinity); otherwise placement minimises the device's predicted
-// finish time (queued backlog + predicted exec_s from a per-(op kind,
-// backend) online regression over the nnz x rank feature, fed by the job
-// history), preferring devices whose PlanCache already holds the plan and
-// falling back to least-loaded placement until the model has enough samples.
+// finish time (queued backlog + predicted exec_s from a per-op-kind online
+// regression over the nnz x rank feature, fed by the job history), preferring
+// devices whose PlanCache already holds the plan and falling back to
+// least-loaded placement until the model has enough samples.
 // A device that drains its own queue steals the whole batch-affinity group
 // at the head of the deepest backlogged queue, so one long job never idles
 // the rest of the group. Latency-class jobs (OpRequest::ServiceClass) jump
@@ -35,16 +35,17 @@
 // Request batching (DESIGN.md §13): when a device worker dequeues a job it
 // also pulls up to EngineOptions::max_batch - 1 batch-compatible jobs (same
 // cached plan content, kind, shapes and grid options -- see BatchedRequest)
-// from its queue and executes them as ONE pass over the nnz stream with
-// per-request accumulator tiles (core::native::execute_batched). Per-request
-// results stay bitwise identical to solo runs, so coalescing is invisible
-// except in the jobs_batched / batches_formed counters and the wall clock.
-// Sim-backend jobs are pinned to device 0 (the simulator is the fidelity
-// oracle, not the serving path). Sharded jobs (shard.num_devices > 1) are
-// admitted through device 0's queue: when their turn comes, the scheduler
-// reserves devices 0..n-1 -- older queued work on those devices drains
-// first, newer work holds off -- and then executes the same multi-device
-// path run() uses, so results stay bitwise identical to direct execution.
+// from anywhere in its queue and executes them as ONE pass over the nnz
+// stream with per-request accumulator tiles (core::native::execute_batched).
+// Per-request results stay bitwise identical to solo runs, so coalescing is
+// invisible except in the jobs_batched / batches_formed counters and the
+// wall clock. submit() takes native-backend jobs only; the simulator (the
+// fidelity oracle, not the serving path) runs through run(). Sharded jobs
+// (shard.num_devices > 1) are the one pinned class: they are admitted
+// through device 0's queue, and when their turn comes the scheduler reserves
+// devices 0..n-1 -- older queued work on those devices drains first, newer
+// work holds off -- and then executes the same multi-device path run() uses,
+// so results stay bitwise identical to direct execution.
 #pragma once
 
 #include <condition_variable>
@@ -178,7 +179,7 @@ struct EngineOptions {
   /// kCostModel predicts each device's finish time from the job-history
   /// regression (least-loaded until the model is warm); kRoundRobin is the
   /// legacy rotating cursor, kept as the scheduling-off bench baseline.
-  /// Batch affinity and the sim/sharded pins apply under either policy.
+  /// Batch affinity and the sharded pin apply under either policy.
   enum class Placement : std::uint8_t {
     kCostModel = 0,
     kRoundRobin = 1,
@@ -200,7 +201,7 @@ struct EngineOptions {
 /// stream; anything else (streaming, sharded, sim, or mismatched) executes
 /// sequentially in its position. Either way every request's result is
 /// bitwise identical to running it alone, so callers (CP-ALS inner
-/// iterations, the service's coalesced same-plan bursts) batch freely.
+/// iterations, same-plan request bursts) batch freely.
 struct BatchedRequest {
   std::vector<OpRequest> requests;
 };
@@ -256,7 +257,7 @@ struct EngineStats {
   obs::HistogramSnapshot exec_latency_us;
   /// Bounded trailing history of executed jobs, oldest first (cap
   /// kJobHistoryCap) -- the exec_s stream the cost-model scheduler
-  /// (DESIGN.md §15) fits its per-(op kind, backend) regression against.
+  /// (DESIGN.md §15) fits its per-op-kind regression against.
   struct JobHistoryEntry {
     int device = 0;
     OpKind kind = OpKind::kSpMTTKRP;
@@ -362,11 +363,12 @@ class Engine {
   /// queue is full, Admission::kBlock waits for a slot and
   /// Admission::kReject throws engine::QueueFull (retryable). A submission
   /// racing the destructor throws engine::ShuttingDown (terminal).
-  /// Sim-backend jobs are pinned to device 0. A sharded job
-  /// (options.shard.num_devices > 1, native backend) grows the group if
-  /// needed, queues on device 0, and at dequeue reserves devices 0..n-1:
-  /// work queued before it drains first, work queued after waits; execution
-  /// is the same multi-device path run() uses.
+  /// Jobs must use the native backend (core::InvalidOptions otherwise; the
+  /// sim oracle runs through run()). A sharded job
+  /// (options.shard.num_devices > 1) grows the group if needed, queues on
+  /// device 0, and at dequeue reserves devices 0..n-1: work queued before it
+  /// drains first, work queued after waits; execution is the same
+  /// multi-device path run() uses.
   std::future<void> submit(OpRequest req, JobRecord* record = nullptr,
                            Admission admission = Admission::kBlock);
 
@@ -436,7 +438,7 @@ class Engine {
     std::vector<sim::DeviceBuffer<value_t>> scratch;
   };
 
-  /// Per-(op kind, backend) online least-squares fit of exec seconds against
+  /// Per-op-kind online least-squares fit of exec seconds against
   /// the work feature x = nnz x rank: y = a + b*x. Accumulators only -- a
   /// prediction solves the 2x2 normal equations on demand. Guarded by
   /// state_mutex_.
@@ -480,14 +482,14 @@ class Engine {
   std::shared_ptr<const pipeline::CachedPlan> replica_plan(unsigned d, const OpPlan& plan);
 
   // ---- scheduler internals (all require state_mutex_) --------------------
-  /// Cost-model prediction for (kind, backend) at feature x; < 0 when the
-  /// cell has too few samples.
-  double predict_locked(OpKind kind, core::ExecBackend backend, double x) const;
+  /// Cost-model prediction for `kind` at feature x; < 0 when the cell has
+  /// too few samples.
+  double predict_locked(OpKind kind, double x) const;
   /// Mean exec_s across every cell -- the backlog estimate for jobs whose
   /// own cell is cold (0 when no samples exist at all).
   double global_mean_locked() const;
   /// Fills job.pred_s / job.predicted and returns the target device for
-  /// job.req: pins (sim, sharded) -> 0; batch affinity; else cost-model
+  /// job.req: sharded pin -> 0; batch affinity; else cost-model
   /// makespan minimisation with cache preference (or round-robin /
   /// least-loaded fallback). Ties rotate through next_device_.
   unsigned pick_device_locked(Job& job);
@@ -502,7 +504,7 @@ class Engine {
   /// (reservation-aware), or npos.
   std::size_t poppable_index_locked(unsigned d) const;
   /// Deepest queue worker d may steal from, or -1. A queue qualifies when it
-  /// holds stealable (non-pinned) work its own device cannot service
+  /// holds stealable (non-sharded) work its own device cannot service
   /// promptly: its worker is mid-execution, reservation-blocked, or more
   /// than one job deep.
   int steal_victim_locked(unsigned d) const;
@@ -549,8 +551,8 @@ class Engine {
   std::uint64_t seq_next_ = 0;  // admission sequence source (Job::seq)
   std::uint64_t steals_ = 0;
   std::uint64_t sched_predictions_ = 0;
-  /// kind x backend (0 = native, 1 = sim) regression cells.
-  CostCell cost_cells_[4][2];
+  /// Per-op-kind regression cells.
+  CostCell cost_cells_[4];
   /// Sharded reservation (one at a time: only device 0's worker creates
   /// them). While pending, reserved workers 1..resv_n_-1 only pop jobs with
   /// seq < resv_seq_ and never steal; the reserving worker waits on

@@ -70,17 +70,22 @@ struct TensorOpServer::Impl {
 
   struct Session {
     int fd = -1;
+    /// Unique per accepted connection: the kernel reuses a closed session's
+    /// fd for the next accept, so fd alone cannot name a session.
+    std::uint64_t id = 0;
     FrameAssembler in;
     std::vector<std::uint8_t> out;
     std::size_t out_off = 0;
   };
   std::unordered_map<int, Session> sessions;  // keyed by fd
+  std::uint64_t next_session_id = 0;
 
   /// One submitted job awaiting its future. The matrices anchor every
   /// pointer the OpRequest handed to the engine, so a Pending must outlive
   /// its job even when the response was abandoned (timeout / dead session).
   struct Pending {
     int fd = -1;
+    std::uint64_t session = 0;  // Session::id of the requester
     std::uint64_t request_id = 0;
     std::future<void> future;
     std::vector<DenseMatrix> inputs;
@@ -91,19 +96,6 @@ struct TensorOpServer::Impl {
     bool abandoned = false;
   };
   std::list<Pending> pending;
-
-  /// Run requests parsed this poll tick but not yet handed to the engine.
-  /// Deferring the submit to one flush point per tick (flush_submits, before
-  /// harvest) lets the server sort the tick's requests by cached-plan
-  /// identity, so same-plan requests enter a worker queue adjacently and the
-  /// engine's coalescing pop fuses them into one batched pass. The OpRequest
-  /// points into job's matrices; both live in list nodes, so neither sorting
-  /// the list nor splicing job onward moves the pointed-to storage.
-  struct Deferred {
-    Pending job;
-    engine::OpRequest req;
-  };
-  std::list<Deferred> deferred;
 
   struct PlanSlot {
     std::uint64_t tensor = 0;
@@ -148,7 +140,7 @@ struct TensorOpServer::Impl {
   std::atomic<std::uint64_t> sessions_accepted{0}, requests{0}, responses{0},
       queue_full{0}, timeouts{0}, bad_requests{0}, slow_closes{0}, bytes_rx{0}, bytes_tx{0},
       tensors_gauge{0}, tensor_bytes_gauge{0}, plans_gauge{0}, plan_bytes_gauge{0},
-      sessions_gauge{0}, tenants_gauge{0}, coalesced{0};
+      sessions_gauge{0}, tenants_gauge{0};
 
   /// Metrics registry (DESIGN.md §14). The run-op latency histogram is
   /// recorded by the I/O thread (arrival -> response write); everything else
@@ -208,7 +200,6 @@ struct TensorOpServer::Impl {
     g("ust.server.tensor_bytes", static_cast<double>(tensor_bytes_gauge.load()));
     g("ust.server.plans", static_cast<double>(plans_gauge.load()));
     g("ust.server.plan_bytes", static_cast<double>(plan_bytes_gauge.load()));
-    g("ust.server.coalesced_submits", static_cast<double>(coalesced.load()));
     // The engine's per-job exec-share latency histogram lives in its stats
     // snapshot, not this registry: render it alongside.
     return registry.render_prometheus() +
@@ -469,6 +460,7 @@ struct TensorOpServer::Impl {
 
     Pending job;
     job.fd = s.fd;
+    job.session = s.id;
     job.request_id = h.request_id;
     job.t_arrive = Clock::now();
     job.inputs = std::move(inputs);
@@ -479,6 +471,8 @@ struct TensorOpServer::Impl {
       job.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
     }
 
+    // The request points into job's matrices; moving job into `pending`
+    // keeps their heap storage where it is.
     engine::OpRequest req;
     req.trace_id = trace_id_for(h);
     req.service_class = h.service_class == WireClass::kLatency
@@ -493,72 +487,18 @@ struct TensorOpServer::Impl {
     req.out_rows = job.out.rows();
     req.out_cols = job.out.cols();
 
-    // Deferred: flush_submits() hands the whole tick's runs to the engine in
-    // plan order (QueueFull / ShuttingDown are answered there).
-    deferred.push_back(Deferred{std::move(job), std::move(req)});
-  }
-
-  /// Submits every run request parsed this tick. With coalescing on, the
-  /// batch is first sorted by cached-plan identity (stable: arrival order is
-  /// kept within a plan group) so the engine's worker can fuse same-plan
-  /// neighbours into one pass over the non-zeros.
-  void flush_submits() {
-    if (deferred.empty()) return;
-    if (opt.coalesce_submits && deferred.size() > 1) {
-      deferred.sort([](const Deferred& a, const Deferred& b) {
-        return a.job.plan->bundle.get() < b.job.plan->bundle.get();
-      });
-      // Count members of same-plan groups of >= 2: those are the submits the
-      // sort actually co-located for the engine's coalescing pop.
-      for (auto it = deferred.begin(); it != deferred.end();) {
-        auto run_end = std::next(it);
-        std::size_t len = 1;
-        while (run_end != deferred.end() &&
-               run_end->job.plan->bundle.get() == it->job.plan->bundle.get()) {
-          ++run_end;
-          ++len;
-        }
-        if (len >= 2) coalesced += len;
-        it = run_end;
-      }
+    // Admission failures get their own statuses; any other exception is
+    // mapped by handle_frame.
+    try {
+      job.future = engine.submit(std::move(req), nullptr, engine::Admission::kReject);
+    } catch (const engine::QueueFull& e) {
+      respond_error(s, Status::kQueueFull, h.request_id, e.what());
+      return;
+    } catch (const engine::ShuttingDown& e) {
+      respond_error(s, Status::kShuttingDown, h.request_id, e.what());
+      return;
     }
-    for (auto& d : deferred) {
-      try {
-        d.job.future = engine.submit(std::move(d.req), nullptr, engine::Admission::kReject);
-      } catch (const engine::QueueFull& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kQueueFull, d.job.request_id, e.what());
-        } else {
-          ++queue_full;
-        }
-        continue;
-      } catch (const engine::ShuttingDown& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kShuttingDown, d.job.request_id, e.what());
-        }
-        continue;
-      } catch (const ContractViolation& e) {
-        // Bad shapes the parse layer could not see (engine-side request
-        // validation): a malformed request, not a server fault -- the same
-        // mapping the dispatch layer applies.
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kBadRequest, d.job.request_id, e.what());
-        }
-        continue;
-      } catch (const core::InvalidOptions& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kBadRequest, d.job.request_id, e.what());
-        }
-        continue;
-      } catch (const std::exception& e) {
-        if (auto* s = find_session(d.job.fd)) {
-          respond_error(*s, Status::kInternal, d.job.request_id, e.what());
-        }
-        continue;
-      }
-      pending.push_back(std::move(d.job));
-    }
-    deferred.clear();
+    pending.push_back(std::move(job));
   }
 
   /// kStats v2. The request body carries the version the client expects; a
@@ -608,7 +548,6 @@ struct TensorOpServer::Impl {
         {"server.tensor_bytes", tensor_bytes_gauge.load()},
         {"server.plans", plans_gauge.load()},
         {"server.plan_bytes", plan_bytes_gauge.load()},
-        {"server.coalesced_submits", coalesced.load()},
     };
     w.u32(static_cast<std::uint32_t>(kv.size()));
     for (const auto& [k, v] : kv) {
@@ -661,7 +600,7 @@ struct TensorOpServer::Impl {
         if (!it->abandoned && it->deadline && now >= *it->deadline) {
           // Missed deadline: answer now, keep holding the buffers until the
           // engine job drains (it cannot be preempted mid-kernel).
-          if (auto* s = find_session(it->fd)) {
+          if (auto* s = find_session(it->fd, it->session)) {
             respond_error(*s, Status::kTimeout, it->request_id, "deadline exceeded");
           } else {
             ++timeouts;
@@ -671,7 +610,8 @@ struct TensorOpServer::Impl {
         ++it;
         continue;
       }
-      if (it->abandoned || find_session(it->fd) == nullptr) {
+      Session* owner = it->abandoned ? nullptr : find_session(it->fd, it->session);
+      if (owner == nullptr) {
         // Response already sent (timeout) or the session is gone: just let
         // the buffers go.
         try {
@@ -681,7 +621,7 @@ struct TensorOpServer::Impl {
         it = pending.erase(it);
         continue;
       }
-      Session& s = *find_session(it->fd);
+      Session& s = *owner;
       try {
         it->future.get();
         Writer w;
@@ -708,6 +648,13 @@ struct TensorOpServer::Impl {
     return it != sessions.end() ? &it->second : nullptr;
   }
 
+  /// The session that made a request, or null once it closed (even when a
+  /// newer session now holds the same fd).
+  Session* find_session(int fd, std::uint64_t id) {
+    Session* s = find_session(fd);
+    return s != nullptr && s->id == id ? s : nullptr;
+  }
+
   void close_session(int fd) {
     const auto it = sessions.find(fd);
     if (it == sessions.end()) return;
@@ -722,7 +669,7 @@ struct TensorOpServer::Impl {
       if (fd < 0) return;  // EAGAIN / transient
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      sessions.emplace(fd, Session{fd, {}, {}, 0});
+      sessions.emplace(fd, Session{fd, next_session_id++, {}, {}, 0});
       ++sessions_accepted;
       ++sessions_gauge;
     }
@@ -806,7 +753,6 @@ struct TensorOpServer::Impl {
       }
       for (int fd : dead) close_session(fd);
 
-      flush_submits();
       harvest();
       // Responses enqueued by harvest() go out on the next poll tick's
       // POLLOUT -- except most sockets are writable now, so try eagerly.
@@ -835,8 +781,6 @@ struct TensorOpServer::Impl {
       ::close(listener);
       listener = -1;
     }
-    // Parsed-but-never-submitted runs hold no engine work; just drop them.
-    deferred.clear();
     // Drain abandoned jobs so their buffers outlive the engine work.
     for (auto& p : pending) {
       try {
@@ -908,7 +852,6 @@ ServerStats TensorOpServer::stats() const {
   s.tensor_bytes = im.tensor_bytes_gauge;
   s.plans = im.plans_gauge;
   s.plan_bytes = im.plan_bytes_gauge;
-  s.coalesced_submits = im.coalesced;
   return s;
 }
 

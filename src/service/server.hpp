@@ -2,10 +2,14 @@
 // protocol sessions onto engine::Engine::submit. Shape: ONE poll()-driven
 // I/O thread owning the listener, every session socket, and the pending-job
 // table -- the lean aio media-server loop, not a thread-per-connection farm.
-// Kernel execution never happens on the I/O thread; requests are submitted
-// with Admission::kReject so a full engine queue surfaces immediately as the
-// retryable Status::kQueueFull instead of stalling the loop, and completed
-// futures are harvested on the next poll tick.
+// Kernel execution never happens on the I/O thread; each run request is
+// submitted as soon as it is parsed, with Admission::kReject so a full engine
+// queue surfaces immediately as the retryable Status::kQueueFull instead of
+// stalling the loop, and completed futures are harvested on the next poll
+// tick. Same-plan requests -- from any tenant: the engine plan cache keys on
+// tensor content -- fuse into one batched pass inside the engine (batch-
+// affinity placement plus the worker's queue-wide group pop, DESIGN.md §13);
+// the server adds no batching of its own.
 //
 // Multi-tenancy: every request names a tenant id. Each tenant owns its
 // uploaded tensors (bounded by a tensor-byte quota -- uploads beyond it get
@@ -52,13 +56,6 @@ struct ServerOptions {
   /// poll() timeout while jobs are in flight / while idle.
   int poll_busy_ms = 1;
   int poll_idle_ms = 20;
-  /// Sort each poll tick's run submissions by cached-plan identity before
-  /// handing them to the engine, so same-plan requests (same tenant or not:
-  /// the engine plan cache keys on tensor *content*) land adjacent in a
-  /// worker queue and fuse into one batched pass (DESIGN.md §13). Off, each
-  /// run request is submitted in arrival order; batching then only happens
-  /// when the engine finds compatible jobs queued by chance.
-  bool coalesce_submits = true;
 };
 
 /// Monotone counters + gauges, readable from any thread.
@@ -78,9 +75,6 @@ struct ServerStats {
   std::uint64_t tensor_bytes = 0;  // gauge
   std::uint64_t plans = 0;         // gauge
   std::uint64_t plan_bytes = 0;    // gauge
-  /// Run requests submitted as part of a same-plan group of >= 2 within one
-  /// poll tick (each member counts; solo submissions count zero).
-  std::uint64_t coalesced_submits = 0;
 };
 
 class TensorOpServer {

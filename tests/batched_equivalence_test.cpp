@@ -245,16 +245,35 @@ TEST(BatchedEquivalence, SubmitCoalescingPreservesResultsAndCounters) {
   const CooTensor t = test::random_coo3(rng, 30, 2500);
   const Partitioning part{.threadlen = 8, .block_size = 64};
   const index_t rank = 16;
-  core::UnifiedMttkrp op(eng, t, 0, part);
+  // Two plans (modes 0 and 1 of one tensor): compatible within a plan,
+  // never across.
+  const core::UnifiedMttkrp ops[2] = {core::UnifiedMttkrp(eng, t, 0, part),
+                                      core::UnifiedMttkrp(eng, t, 1, part)};
 
   constexpr int kJobs = 6;
   std::vector<std::vector<DenseMatrix>> factors;
-  std::vector<DenseMatrix> seq_out;
+  std::vector<DenseMatrix> seq_out[2];
   for (int j = 0; j < kJobs; ++j) {
     factors.push_back(test::random_factors(t, rank, rng));
-    seq_out.emplace_back(t.dim(0), rank);
-    eng.run(op.request(factors[static_cast<std::size_t>(j)],
-                       seq_out[static_cast<std::size_t>(j)]));
+    for (int p = 0; p < 2; ++p) {
+      seq_out[p].emplace_back(t.dim(p), rank);
+      eng.run(ops[p].request(factors[static_cast<std::size_t>(j)],
+                             seq_out[p][static_cast<std::size_t>(j)]));
+    }
+  }
+
+  // Submission orders as (plan, factor set). Back to back, one plan's jobs
+  // are adjacent in the queue. Interleaved A,B,A,B, no two neighbours are
+  // compatible, so any batch formed there was gathered from non-adjacent
+  // queue slots -- the worker's pop, not submission order, forms batches.
+  struct Order {
+    const char* name;
+    std::vector<std::pair<int, int>> jobs;
+  };
+  Order orders[2] = {{"back to back", {}}, {"interleaved", {}}};
+  for (int j = 0; j < kJobs; ++j) {
+    orders[0].jobs.emplace_back(0, j);
+    orders[1].jobs.emplace_back(j % 2, j / 2);
   }
 
   // A batch is only guaranteed when the submissions pile up behind a running
@@ -266,27 +285,31 @@ TEST(BatchedEquivalence, SubmitCoalescingPreservesResultsAndCounters) {
   const CooTensor blocker_t = io::generate_uniform({60, 60, 60}, 150000, 99);
   core::UnifiedMttkrp blocker_op(eng, blocker_t, 0, part);
   const auto blocker_factors = test::random_factors(blocker_t, rank, rng);
-  bool formed = false;
-  for (int attempt = 0; attempt < 8 && !formed; ++attempt) {
-    DenseMatrix blocker_out(blocker_t.dim(0), rank);
-    std::vector<DenseMatrix> outs;
-    for (int j = 0; j < kJobs; ++j) outs.emplace_back(t.dim(0), rank);
-    std::vector<std::future<void>> futures;
-    futures.push_back(eng.submit(blocker_op.request(blocker_factors, blocker_out)));
-    for (int j = 0; j < kJobs; ++j) {
-      futures.push_back(eng.submit(op.request(factors[static_cast<std::size_t>(j)],
-                                              outs[static_cast<std::size_t>(j)])));
+  for (const Order& order : orders) {
+    const std::uint64_t formed_before = eng.stats().batches_formed;
+    bool formed = false;
+    for (int attempt = 0; attempt < 8 && !formed; ++attempt) {
+      DenseMatrix blocker_out(blocker_t.dim(0), rank);
+      std::vector<DenseMatrix> outs;
+      for (const auto& [p, j] : order.jobs) outs.emplace_back(t.dim(p), rank);
+      std::vector<std::future<void>> futures;
+      futures.push_back(eng.submit(blocker_op.request(blocker_factors, blocker_out)));
+      for (std::size_t k = 0; k < order.jobs.size(); ++k) {
+        const auto& [p, j] = order.jobs[k];
+        futures.push_back(
+            eng.submit(ops[p].request(factors[static_cast<std::size_t>(j)], outs[k])));
+      }
+      for (auto& f : futures) f.get();
+      for (std::size_t k = 0; k < order.jobs.size(); ++k) {
+        const auto& [p, j] = order.jobs[k];
+        ASSERT_EQ(DenseMatrix::max_abs_diff(outs[k], seq_out[p][static_cast<std::size_t>(j)]),
+                  0.0)
+            << order.name << " attempt " << attempt << " member " << k;
+      }
+      formed = eng.stats().batches_formed > formed_before;
     }
-    for (auto& f : futures) f.get();
-    for (int j = 0; j < kJobs; ++j) {
-      ASSERT_EQ(DenseMatrix::max_abs_diff(outs[static_cast<std::size_t>(j)],
-                                          seq_out[static_cast<std::size_t>(j)]),
-                0.0)
-          << "attempt " << attempt << " member " << j;
-    }
-    formed = eng.stats().batches_formed > 0;
+    EXPECT_TRUE(formed) << order.name << ": no batch formed across attempts";
   }
-  EXPECT_TRUE(formed) << "no batch formed across attempts";
 
   const EngineStats s = eng.stats();
   EXPECT_GE(s.jobs_batched, 2 * s.batches_formed);

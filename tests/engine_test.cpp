@@ -157,26 +157,6 @@ TEST(Engine, SubmitMatchesRunBitwiseAndRoundRobins) {
   EXPECT_GE(s.devices[1].cache.hits, 1u);
 }
 
-TEST(Engine, SimJobsPinToPrimary) {
-  Engine eng(EngineOptions{.num_devices = 2});
-  Prng rng(105);
-  const CooTensor t = test::random_coo3(rng, 16, 600);
-  const auto factors = test::random_factors(t, 4, 15);
-  core::UnifiedMttkrp op(eng, t, 0, Partitioning{.threadlen = 8, .block_size = 64});
-
-  std::vector<DenseMatrix> outs(4, DenseMatrix(t.dim(0), 4));
-  std::vector<JobRecord> records(4);
-  std::vector<std::future<void>> futures;
-  for (int j = 0; j < 4; ++j) {
-    core::UnifiedOptions opt;
-    opt.backend = core::ExecBackend::kSim;
-    futures.push_back(eng.submit(op.request(factors, outs[static_cast<std::size_t>(j)], opt),
-                                 &records[static_cast<std::size_t>(j)]));
-  }
-  for (auto& f : futures) f.get();
-  for (const JobRecord& r : records) EXPECT_EQ(r.device, 0);
-}
-
 TEST(Engine, SubmitAcceptsShardedJobsAndRejectsBadShapes) {
   // Sharded jobs go through submit() since the scheduler gained device
   // reservation (DESIGN.md §15): the job reserves shard.num_devices devices,
@@ -199,11 +179,15 @@ TEST(Engine, SubmitAcceptsShardedJobsAndRejectsBadShapes) {
     for (index_t j = 0; j < out.cols(); ++j) EXPECT_EQ(out(i, j), direct(i, j));
   }
 
-  // Sharded jobs on the sim backend stay rejected: replicas are native-only.
+  // submit() is native-only: sim-backend jobs, sharded or not, are rejected
+  // (the sim oracle runs through run()).
   core::UnifiedOptions sim_sharded = sharded;
   sim_sharded.backend = core::ExecBackend::kSim;
   EXPECT_THROW((void)eng.submit(op.request(factors, out, sim_sharded)),
                core::InvalidOptions);
+  core::UnifiedOptions sim;
+  sim.backend = core::ExecBackend::kSim;
+  EXPECT_THROW((void)eng.submit(op.request(factors, out, sim)), core::InvalidOptions);
 
   DenseMatrix wrong(t.dim(0), 5);  // out width != rank
   EXPECT_THROW((void)eng.submit(op.request(factors, wrong)), ContractViolation);

@@ -236,7 +236,7 @@ TEST(Scheduler, ShardedSubmitReservesDevicesAmidConcurrentSingles) {
 }
 
 TEST(Scheduler, CostModelWarmsUpAndRecordsPredictionError) {
-  // Sequential submits feed job_history; once a (kind, backend) cell has
+  // Sequential submits feed job_history; once an op kind's cell has
   // kCostModelMinSamples the scheduler predicts and every completed
   // predicted job contributes a prediction-error sample.
   Engine eng(EngineOptions{.num_devices = 2, .max_batch = 1});
