@@ -53,11 +53,13 @@ struct BenchDataset {
 
 /// Loads the four paper replicas at `scale`, in the paper's figure order
 /// (nell1, delicious, nell2, brainq). If `only` is non-empty, restricts to
-/// that dataset.
+/// the datasets it names (comma-separated).
 inline std::vector<BenchDataset> load_replicas(double scale, const std::string& only = "") {
   std::vector<BenchDataset> out;
   for (const auto& spec : io::paper_datasets()) {
-    if (!only.empty() && spec.name != only) continue;
+    if (!only.empty() && ("," + only + ",").find("," + spec.name + ",") == std::string::npos) {
+      continue;
+    }
     BenchDataset d;
     d.name = spec.name;
     d.spec = spec;
@@ -95,7 +97,8 @@ inline Cli make_bench_cli(const std::string& name, const std::string& what) {
   cli.option("scale", "0.25", "replica size multiplier in (0,1]");
   cli.option("rank", "16", "dense factor columns (tensor rank)");
   cli.option("reps", "5", "timed repetitions per measurement");
-  cli.option("dataset", "", "restrict to one dataset (nell1|delicious|nell2|brainq)");
+  cli.option("dataset", "",
+             "restrict to these datasets, comma-separated (nell1,delicious,nell2,brainq)");
   cli.option("tns", "", "load a FROSTT .tns file instead of replicas");
   cli.option("cpu-threads", "12",
              "worker threads for the CPU baselines (ParTI-OMP, SPLATT); the paper "

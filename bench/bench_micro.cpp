@@ -1,10 +1,14 @@
 // Google-benchmark microbenchmarks for the building blocks: warp/block
 // segmented scan, F-COO construction, bit-flag rank queries, COO sorting,
-// thread-pool dispatch, and the unified kernel at several partitionings.
+// thread-pool dispatch, the unified kernel at several partitionings, and the
+// native chunk walk's scaling from one pool slot to the full pool.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "core/spmttkrp.hpp"
 #include "core/unified_kernel.hpp"
+#include "io/datasets.hpp"
 #include "io/generate.hpp"
 #include "sim/collectives.hpp"
 #include "engine/engine.hpp"
@@ -132,6 +136,42 @@ void BM_UnifiedMttkrp(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * static_cast<std::int64_t>(t.nnz()));
 }
 BENCHMARK(BM_UnifiedMttkrp)->Args({8, 128})->Args({16, 256})->Args({64, 512});
+
+// Native SpMTTKRP (rank 16, mode 1) on the nell2 replica at scale 1.0, with
+// one pool slot and with the full pool (arg 0 = hardware width); the
+// per_nnz counter is wall time per non-zero. A parallel per_nnz at or above
+// the serial one means the workers contend for shared cache lines --
+// how false sharing between neighbouring chunks' accumulators once showed
+// (4 workers slower than 1).
+void BM_NativeChunkWalk(benchmark::State& state) {
+  static const io::DatasetSpec spec = *io::find_dataset("nell2");
+  static const CooTensor t = io::make_replica(spec, 1.0);
+  static const std::vector<DenseMatrix> factors = [] {
+    Prng rng(8);
+    std::vector<DenseMatrix> f;
+    for (int m = 0; m < t.order(); ++m) {
+      f.emplace_back(t.dim(m), 16);
+      f.back().fill_random(rng);
+    }
+    return f;
+  }();
+  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  sim::Device dev(sim::DeviceProps::titan_x(), &pool);
+  engine::Engine eng(dev);
+  core::UnifiedMttkrp op(eng, t, 0, spec.best_spmttkrp);
+  DenseMatrix out(t.dim(0), 16);
+  op.run(factors, out);  // warm: plan upload and factor staging buffers
+  for (auto _ : state) {
+    op.run(factors, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::to_string(pool.size() + 1) + " slots");
+  state.counters["per_nnz"] = benchmark::Counter(
+      static_cast<double>(t.nnz()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_NativeChunkWalk)->Arg(1)->Arg(0)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

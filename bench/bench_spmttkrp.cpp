@@ -3,6 +3,7 @@
 // capacity-scaled device so its nnz x R intermediate reproduces the paper's
 // out-of-memory failures on nell1 and delicious.
 #include <cstdio>
+#include <thread>
 
 #include "baselines/parti_gpu.hpp"
 #include "baselines/parti_omp.hpp"
@@ -45,6 +46,15 @@ int main(int argc, char** argv) {
            "Unified-sim (s)", "ParTI-GPU spd", "SPLATT spd", "Unified spd",
            "native vs sim"});
   bench::JsonResults json("bench_spmttkrp");
+  // Host facts next to the timings: every median/p90 below is over `reps`
+  // timed runs after one warm-up, the native and sim backends run on the
+  // device pool, and SPLATT/ParTI-OMP on a --cpu-threads pool.
+  json.add("reps", static_cast<double>(reps));
+  json.add("host_cores", static_cast<double>(std::thread::hardware_concurrency()));
+  json.add("device_pool_slots", static_cast<double>(dev.pool().size() + 1));
+  json.add("cpu_threads", static_cast<double>(bench::cpu_pool(cli).size() + 1));
+  json.add("scale", cli.get_double("scale"));
+  json.add("rank", static_cast<double>(rank));
   for (const auto& d : datasets) {
     const auto factors = bench::make_factors(d.tensor, rank);
 
@@ -65,12 +75,12 @@ int main(int argc, char** argv) {
     }
 
     baseline::SplattMttkrp splatt_op(d.tensor, &bench::cpu_pool(cli));
-    const double splatt_s =
-        bench::time_median([&] { splatt_op.run(mode, factors); }, reps);
+    const TimingResult splatt_t = time_repeated([&] { splatt_op.run(mode, factors); }, reps);
+    const double splatt_s = splatt_t.median_s;
 
     // The primary "Unified" number follows --backend (native by default);
-    // the sim backend is always measured alongside so BENCH json captures
-    // the native-vs-sim trajectory on every run.
+    // both backends are always timed, each with a median and a p90, so BENCH
+    // json captures the native-vs-sim trajectory on every run.
     const core::UnifiedOptions main_opt = bench::kernel_options(cli);
     const core::UnifiedOptions sim_opt{.backend = core::ExecBackend::kSim};
     const core::UnifiedOptions native_opt{.backend = core::ExecBackend::kNative};
@@ -90,16 +100,13 @@ int main(int argc, char** argv) {
           part);
     }
     core::UnifiedMttkrp unified_op(eng, d.tensor, mode, part);
+    const TimingResult native_t =
+        time_repeated([&] { unified_op.run(factors, native_opt); }, reps);
+    const TimingResult sim_t = time_repeated([&] { unified_op.run(factors, sim_opt); }, reps);
+    const double uni_native_s = native_t.median_s;
+    const double uni_sim_s = sim_t.median_s;
     const double uni_s =
-        bench::time_median([&] { unified_op.run(factors, main_opt); }, reps);
-    const double uni_sim_s =
-        main_opt.backend == core::ExecBackend::kSim
-            ? uni_s
-            : bench::time_median([&] { unified_op.run(factors, sim_opt); }, reps);
-    const double uni_native_s =
-        main_opt.backend == core::ExecBackend::kNative
-            ? uni_s
-            : bench::time_median([&] { unified_op.run(factors, native_opt); }, reps);
+        main_opt.backend == core::ExecBackend::kSim ? uni_sim_s : uni_native_s;
 
     // SIMD speedup (DESIGN.md §13): the identical native configuration timed
     // with the kernel dispatch pinned to the honest scalar variant vs the
@@ -175,9 +182,13 @@ int main(int argc, char** argv) {
                Table::num(uni_sim_s / uni_native_s, 2) + "x"});
     json.add(d.name + ".parti_omp_s", omp_s);
     json.add(d.name + ".splatt_s", splatt_s);
+    json.add(d.name + ".splatt_p90_s", splatt_t.p90_s);
     json.add(d.name + ".unified_s", uni_s);
     json.add(d.name + ".unified_native_s", uni_native_s);
+    json.add(d.name + ".unified_native_p90_s", native_t.p90_s);
     json.add(d.name + ".unified_sim_s", uni_sim_s);
+    json.add(d.name + ".unified_sim_p90_s", sim_t.p90_s);
+    json.add(d.name + ".native_vs_splatt", splatt_s > 0 ? uni_native_s / splatt_s : 0.0);
     json.add(d.name + ".unified_speedup_vs_omp", omp_s / uni_s);
     json.add(d.name + ".native_speedup_vs_sim", uni_sim_s / uni_native_s);
     json.add(d.name + ".unified_native_scalar_s", scalar_s);

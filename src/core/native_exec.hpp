@@ -11,10 +11,13 @@
 //
 //   * each worker owns a chunk of non-zeros aligned to threadlen partition
 //     boundaries (so `thread_first_seg` gives its starting segment id),
-//   * the per-non-zero product is a SIMD mul-then-add over *contiguous*
-//     per-chunk accumulator tiles (core/simd.hpp; the rank dimension is the
-//     vector axis) -- factor-row base pointers are hoisted once per non-zero
-//     by the op-specific Expr (see `accumulate`),
+//   * the per-non-zero product is a SIMD mul-then-add into a worker-private
+//     accumulator (the rank dimension is the vector axis): vector registers
+//     for a single-block pass of <= 16 columns of SpTTM / 3-order SpMTTKRP
+//     (the register walk, resolved once per chunk pass), else a 64 B-aligned
+//     private tile fed by the op's Expr::accumulate (one indirect SIMD call
+//     per block per non-zero; core/simd.hpp). Shared boundary tiles are
+//     written at most once per pass (see run_chunk),
 //   * segments fully contained in a chunk are committed with plain stores
 //     (seg_row is injective: one segment per output row, as the sim kernel's
 //     conflict-free interior writes already assume),
@@ -44,6 +47,8 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -110,112 +115,206 @@ struct ChunkState {
   std::uint8_t tail_committed = 0;    // trailing run already written in phase 1
 };
 
-/// Phase 1 worker body: walks one chunk once per rank-block pass, committing
-/// interior segments directly and leaving boundary partials in `acc`
-/// (trailing run) and `head_partial` (leading run continuing the previous
-/// chunk). `acc` and `head_partial` are this chunk's contiguous tiles of
-/// `total_cols` floats (the concatenated width of all batched requests);
-/// block b of the batch lives at tile offset b.acc_off. The multi-pass walk
-/// re-reads flags and values identically per pass, so every column -- and the
-/// ChunkState -- is exactly what a solo single-pass run would produce.
+/// Widest single-block pass the register-resident walk covers: one zmm of
+/// accumulator at AVX-512, two ymm at AVX2.
+constexpr index_t kRegisterWalkCols = 16;
+
+/// Operands a one- or two-row gather expression (SpTTM, 3-order SpMTTKRP)
+/// exposes through its `row_gather()` hook: non-zero x adds
+/// (v * fac0[idx0[x] * r + c]) * fac1[idx1[x] * r + c] to column c -- the
+/// exact per-column sequence of simd::Ops::axpy2 (axpy when idx1 is null).
+struct RowGather {
+  const index_t* idx0 = nullptr;
+  const index_t* idx1 = nullptr;  // nullptr: one-row gather (SpTTM)
+  const value_t* fac0 = nullptr;
+  const value_t* fac1 = nullptr;
+  index_t r = 0;
+  simd::Level level = simd::Level::kScalar;
+};
+
+/// One single-block pass of one chunk, handed to a RegisterWalkFn.
+struct RegisterWalk {
+  FcooView f;
+  Chunk ch;
+  index_t first_seg = 0;
+  bool starts_fresh = false;
+  RowGather g;
+  index_t c0 = 0;  // first output column of the block
+  index_t nc = 0;  // block width, 1..kRegisterWalkCols
+  OutView out;
+  float* head_partial = nullptr;  // nc floats: the deferred leading run
+  float* acc = nullptr;           // nc floats: receives the open trailing run
+};
+
+/// Walks the pass with its accumulator held in vector registers: interior
+/// segments are committed to `out`, the leading run of a segment opened in
+/// an earlier chunk is stored to head_partial, and the trailing run is
+/// stored to acc on return. Returns the number of segment runs closed inside
+/// the chunk. The same mul-then-add sequence as the generic walk, so results
+/// are bitwise identical to it.
+using RegisterWalkFn = index_t (*)(const RegisterWalk&);
+
+/// The register walk compiled for `level` and the gather's row count, or
+/// nullptr when the level has none (scalar keeps the generic walk, which is
+/// the honest baseline). Defined in native_exec.cpp, whose translation unit
+/// is compiled with -ffp-contract=off like simd.cpp.
+RegisterWalkFn register_walk(simd::Level level, bool two_rows) noexcept;
+
+namespace detail {
+
+/// The generic walk of one pass: one `accumulate` per block per non-zero
+/// (or one fused dispatch when the expression offers a pass fuser) into
+/// `tile`, the pass's worker-private accumulator (block b at
+/// tile + b.acc_off - pass.front().acc_off). `head_partial` is the chunk's
+/// head tile at the same pass offset. Returns the number of segment runs
+/// closed inside the chunk.
 template <class Expr>
-inline void run_chunk(const FcooView& f, std::span<const OutView> outs,
-                      std::span<const Expr> exprs, std::span<const ColBlock> blocks,
-                      std::span<const std::size_t> pass_off, std::size_t total_cols,
-                      Chunk ch, float* UST_RESTRICT acc, float* UST_RESTRICT head_partial,
-                      ChunkState& st) {
-  st = ChunkState{};
-  st.first_seg = f.thread_first_seg[ch.lo / f.threadlen];
-  const bool starts_fresh = f.head(ch.lo);
-  std::fill(acc, acc + total_cols, 0.0f);
+index_t generic_walk(const FcooView& f, std::span<const OutView> outs,
+                     std::span<const Expr> exprs, std::span<const ColBlock> pass, Chunk ch,
+                     index_t first_seg, bool starts_fresh, float* UST_RESTRICT tile,
+                     float* UST_RESTRICT head_partial) {
+  const std::size_t base = pass.front().acc_off;
+  const std::size_t width = pass.back().acc_off + pass.back().nc - base;
+  std::fill(tile, tile + width, 0.0f);
 
   // Fused multi-request dispatch (DESIGN.md §13): when the expression offers
   // a pass fuser and the pass qualifies (equal-width blocks of a shared-plan
   // batch), one SIMD dispatch per non-zero covers all fused tiles -- the
-  // generic per-block loop would pay one indirect call per request, capping
-  // what request fusion can win to the shared stream decode.
+  // per-block loop would pay one indirect call per request, capping what
+  // request fusion can win to the shared stream decode.
   constexpr bool kFusable = requires(std::span<const Expr> es, std::span<const ColBlock> ps,
                                      float* a) { Expr::make_pass_fuser(es, ps, a); };
+  const auto fuser = [&] {
+    if constexpr (kFusable) return Expr::make_pass_fuser(exprs, pass, tile);
+    else return false;  // placeholder; never read
+  }();
+
+  index_t closes = 0;
+  // The bit-flag word is cached across up to 64 non-zeros, as in the sim
+  // kernel ("read bf in registers").
+  std::uint64_t bf_word = f.bf_words[ch.lo >> 6];
+  for (nnz_t x = ch.lo; x < ch.hi; ++x) {
+    if ((x & 63) == 0) bf_word = f.bf_words[x >> 6];
+    if (x > ch.lo && ((bf_word >> (x & 63)) & 1ull)) {
+      // The run [.., x-1] of segment first_seg + closes closes here.
+      if (!starts_fresh && closes == 0) {
+        // Leading run of a segment opened in an earlier chunk: defer.
+        std::copy(tile, tile + width, head_partial);
+      } else {
+        // Interior segment, exclusively owned: plain stores.
+        const std::size_t row = f.seg_row[first_seg + closes];
+        for (const ColBlock& b : pass) {
+          const OutView& o = outs[b.req];
+          value_t* UST_RESTRICT dst = o.data + row * o.ld + b.c0;
+          const float* UST_RESTRICT a = tile + (b.acc_off - base);
+          for (index_t c = 0; c < b.nc; ++c) dst[c] += a[c];
+        }
+      }
+      std::fill(tile, tile + width, 0.0f);
+      ++closes;
+    }
+    const float v = f.vals[x];
+    if constexpr (kFusable) {
+      if (fuser) {
+        (*fuser)(x, v);
+        continue;
+      }
+    }
+    for (const ColBlock& b : pass) {
+      exprs[b.req].accumulate(x, v, tile + (b.acc_off - base), b.c0, b.nc);
+    }
+  }
+  return closes;
+}
+
+}  // namespace detail
+
+/// Phase 1 worker body: walks one chunk once per rank-block pass, committing
+/// interior segments directly and leaving boundary partials in `tails`
+/// (trailing run) and `head_partial` (leading run continuing the previous
+/// chunk). `tails` and `head_partial` are this chunk's contiguous tiles of
+/// `total_cols` floats (the concatenated width of all batched requests);
+/// block b of the batch lives at tile offset b.acc_off. The multi-pass walk
+/// re-reads flags and values identically per pass, so every column -- and the
+/// ChunkState -- is exactly what a solo single-pass run would produce.
+///
+/// Ownership (DESIGN.md §8): the hot accumulator is worker-private -- a
+/// 64 B-aligned stack tile, or a heap tile for passes wider than
+/// kAutoRankBlock -- and the shared tiles are written at most once per pass
+/// (head_partial at the chunk's first segment close, tails at the end).
+/// Accumulating straight into the shared tails tile would put neighbouring
+/// chunks' accumulators on one cache line, and every non-zero would bounce
+/// that line between the workers running them. Dispatch is
+/// resolved once per pass: a single block of <= kRegisterWalkCols columns of
+/// a RowGather expression runs the register walk, everything else the
+/// generic walk.
+template <class Expr>
+inline void run_chunk(const FcooView& f, std::span<const OutView> outs,
+                      std::span<const Expr> exprs, std::span<const ColBlock> blocks,
+                      std::span<const std::size_t> pass_off, Chunk ch,
+                      float* UST_RESTRICT tails, float* UST_RESTRICT head_partial,
+                      ChunkState& st) {
+  st = ChunkState{};
+  st.first_seg = f.thread_first_seg[ch.lo / f.threadlen];
+  const bool starts_fresh = f.head(ch.lo);
+  st.tail_closes = (ch.hi >= f.nnz) || f.head(ch.hi);
+
+  // Passes cover contiguous column ranges of the tile (make_col_blocks emits
+  // blocks in tile order), so a pass needs a private tile of its own width.
+  std::size_t widest = 0;
+  for (std::size_t p = 0; p + 1 < pass_off.size(); ++p) {
+    const ColBlock& first = blocks[pass_off[p]];
+    const ColBlock& last = blocks[pass_off[p + 1] - 1];
+    widest = std::max(widest, last.acc_off + last.nc - first.acc_off);
+  }
+  alignas(64) float stack_tile[kAutoRankBlock];
+  std::vector<float> heap_tile;
+  float* tile = stack_tile;
+  if (widest > kAutoRankBlock) {
+    heap_tile.resize(widest + 16);
+    void* p = heap_tile.data();
+    std::size_t space = heap_tile.size() * sizeof(float);
+    tile = static_cast<float*>(std::align(64, widest * sizeof(float), p, space));
+  }
 
   for (std::size_t p = 0; p + 1 < pass_off.size(); ++p) {
     const std::span<const ColBlock> pass = blocks.subspan(pass_off[p], pass_off[p + 1] - pass_off[p]);
-    const auto fuser = [&] {
-      if constexpr (kFusable) return Expr::make_pass_fuser(exprs, pass, acc);
-      else return false;  // placeholder; never read
-    }();
-    index_t seg = st.first_seg;
-    bool closed_any = false;
-    // The bit-flag word is cached across up to 64 non-zeros, as in the sim
-    // kernel ("read bf in registers").
-    std::uint64_t bf_word = f.bf_words[ch.lo >> 6];
-    for (nnz_t x = ch.lo; x < ch.hi; ++x) {
-      if ((x & 63) == 0) bf_word = f.bf_words[x >> 6];
-      if (x > ch.lo && ((bf_word >> (x & 63)) & 1ull)) {
-        // The run [.., x-1] of segment `seg` closes here.
-        if (!starts_fresh && !closed_any) {
-          // Leading run of a segment opened in an earlier chunk: defer.
-          for (const ColBlock& b : pass) {
-            std::copy(acc + b.acc_off, acc + b.acc_off + b.nc, head_partial + b.acc_off);
-          }
-          st.has_head_partial = 1;
-        } else {
-          // Interior segment, exclusively owned: plain stores.
-          for (const ColBlock& b : pass) {
-            const OutView& o = outs[b.req];
-            value_t* UST_RESTRICT dst =
-                o.data + static_cast<std::size_t>(f.seg_row[seg]) * o.ld + b.c0;
-            const float* UST_RESTRICT a = acc + b.acc_off;
-            for (index_t c = 0; c < b.nc; ++c) dst[c] += a[c];
-          }
-        }
-        for (const ColBlock& b : pass) {
-          std::fill(acc + b.acc_off, acc + b.acc_off + b.nc, 0.0f);
-        }
-        closed_any = true;
-        ++seg;
-      }
-      const float v = f.vals[x];
-      if constexpr (kFusable) {
-        if (fuser) {
-          (*fuser)(x, v);
-          continue;
-        }
-      }
-      for (const ColBlock& b : pass) {
-        exprs[b.req].accumulate(x, v, acc + b.acc_off, b.c0, b.nc);
+    const std::size_t base = pass.front().acc_off;
+    const std::size_t width = pass.back().acc_off + pass.back().nc - base;
+
+    RegisterWalkFn walk = nullptr;
+    RowGather gather;
+    if constexpr (requires(const Expr& e) { { e.row_gather() } -> std::same_as<RowGather>; }) {
+      if (pass.size() == 1 && pass.front().nc <= kRegisterWalkCols) {
+        gather = exprs[pass.front().req].row_gather();
+        walk = register_walk(gather.level, gather.idx1 != nullptr);
       }
     }
+    const index_t closes =
+        walk != nullptr
+            ? walk(RegisterWalk{f, ch, st.first_seg, starts_fresh, gather, pass.front().c0,
+                                pass.front().nc, outs[pass.front().req],
+                                head_partial + base, tile})
+            : detail::generic_walk<Expr>(f, outs, exprs, pass, ch, st.first_seg,
+                                         starts_fresh, tile, head_partial + base);
 
-    st.tail_seg = seg;
-    st.tail_closes = (ch.hi >= f.nnz) || f.head(ch.hi);
-    if (st.tail_closes && (starts_fresh || closed_any)) {
+    st.tail_seg = st.first_seg + closes;
+    st.has_head_partial = !starts_fresh && closes > 0;
+    if (st.tail_closes && (starts_fresh || closes > 0)) {
       // Trailing segment both opened and closed within this chunk: commit now.
+      const std::size_t row = f.seg_row[st.tail_seg];
       for (const ColBlock& b : pass) {
         const OutView& o = outs[b.req];
-        value_t* UST_RESTRICT dst =
-            o.data + static_cast<std::size_t>(f.seg_row[seg]) * o.ld + b.c0;
-        const float* UST_RESTRICT a = acc + b.acc_off;
+        value_t* UST_RESTRICT dst = o.data + row * o.ld + b.c0;
+        const float* UST_RESTRICT a = tile + (b.acc_off - base);
         for (index_t c = 0; c < b.nc; ++c) dst[c] += a[c];
       }
       st.tail_committed = 1;
     }
-    // Otherwise this pass's slices of `acc` (the chunk's tails tile) carry
-    // the open partial into the serial boundary pass.
+    // The pass's one write of the shared tails tile: the open partial the
+    // serial boundary pass carries on (ignored there once committed).
+    std::copy(tile, tile + width, tails + base);
   }
-}
-
-/// Single-request convenience overload: one full-width block, one pass --
-/// byte-for-byte the pre-blocking walk.
-template <class Expr>
-inline void run_chunk(const FcooView& f, const OutView& out, const Expr& expr,
-                      Chunk ch, float* UST_RESTRICT acc,
-                      float* UST_RESTRICT head_partial, ChunkState& st) {
-  const ColBlock block{0, 0, static_cast<index_t>(out.num_cols), 0};
-  const std::size_t pass_off[2] = {0, 1};
-  run_chunk<Expr>(f, std::span<const OutView>(&out, 1), std::span<const Expr>(&expr, 1),
-                  std::span<const ColBlock>(&block, 1),
-                  std::span<const std::size_t>(pass_off, 2), out.num_cols, ch, acc,
-                  head_partial, st);
 }
 
 /// Phase 2: the serial left-to-right carry fold over per-chunk boundary
@@ -316,8 +415,8 @@ void execute_batched(sim::Device& device, const FcooView& f, std::span<const Out
       .arg("simd", static_cast<std::uint64_t>(simd::active_level()));
   const std::uint64_t obs_id = obs::current_trace_id();
 
-  // Contiguous per-chunk accumulator tiles: tails doubles as the running
-  // accumulator during phase 1 and holds the trailing open partials after.
+  // Per-chunk boundary tiles: the trailing open partial (tails) and the
+  // deferred leading run (head_partials), each written at most once per pass.
   std::vector<float> tails(chunks.size() * total_cols);
   std::vector<float> head_partials(chunks.size() * total_cols);
   std::vector<ChunkState> states(chunks.size());
@@ -331,8 +430,8 @@ void execute_batched(sim::Device& device, const FcooView& f, std::span<const Out
                                .arg("nnz", static_cast<std::uint64_t>(chunks[k].hi -
                                                                       chunks[k].lo))
                                .arg("chunk", k);
-                           run_chunk<Expr>(f, outs, exprs, blocks, pass_off, total_cols,
-                                           chunks[k], &tails[k * total_cols],
+                           run_chunk<Expr>(f, outs, exprs, blocks, pass_off, chunks[k],
+                                           &tails[k * total_cols],
                                            &head_partials[k * total_cols], states[k]);
                          }
                        });

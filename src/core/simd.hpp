@@ -33,9 +33,12 @@ namespace ust::core::simd {
 /// Kernel variant, ordered by width so levels clamp with std::min.
 enum class Level : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// The function-pointer table the op exprs dispatch through. All primitives
-/// accumulate into acc[0, n): callers pass the accumulator tile slice and
-/// factor-row slices already offset to the current rank block.
+/// The function-pointer table behind the op exprs' accumulate() forms, which
+/// the native backend's generic walk calls once per block per non-zero
+/// (single-block passes of <= 16 columns of SpTTM / 3-order SpMTTKRP run the
+/// register walk in native_exec.cpp instead). All primitives accumulate into
+/// acc[0, n): callers pass the accumulator tile slice and factor-row slices
+/// already offset to the current rank block.
 struct Ops {
   Level level = Level::kScalar;
   /// acc[c] += v * a[c]            (SpTTM; SpTTMc per source row)

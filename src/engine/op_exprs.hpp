@@ -11,13 +11,21 @@
 //   * accumulate(x, v, acc, c0, nc)    (native backend, rank-blocked: columns
 //                                       [c0, c0+nc) of the logical output row
 //                                       accumulate into acc[0, nc))
+//   * row_gather()                     (SpTTM and 3-order SpMTTKRP only: the
+//                                       operands of the native backend's
+//                                       register-resident chunk walk)
 //
-// The native forms dispatch through the runtime-selected SIMD table
-// (core/simd.hpp): the rank dimension is the vector axis, and every variant
-// keeps the scalar per-column mul-then-add sequence so results are bitwise
-// identical across scalar/AVX2/AVX-512 and across any rank blocking. Makers
-// capture the active table at expression-construction time, so a per-run
-// simd::set_level() override takes effect on the next run.
+// The accumulate forms are the native backend's generic walk: one call per
+// non-zero per column block, each an indirect call through the SIMD table
+// (core/simd.hpp) the maker captured. The rank dimension is the vector axis,
+// and every variant keeps the scalar per-column mul-then-add sequence, so
+// results are bitwise identical across scalar/AVX2/AVX-512 and across any
+// rank blocking. For a pass of at most native::kRegisterWalkCols columns,
+// row_gather() instead lets the native walk resolve the SIMD level once per
+// chunk pass and keep the accumulator in registers (native_exec.hpp), with
+// the same per-column sequence. Makers capture the active table at
+// expression-construction time, so a per-run simd::set_level() override
+// takes effect on the next run.
 //
 // An ExprMaker binds the operation's rank parameters and produces the
 // expression from (product-index pointers, factor-data pointers); the engine
@@ -31,6 +39,7 @@
 #include <optional>
 #include <span>
 
+#include "core/native_exec.hpp"
 #include "core/simd.hpp"
 #include "util/common.hpp"
 
@@ -65,6 +74,9 @@ struct Spttm {
   void accumulate(nnz_t x, float v, float* UST_RESTRICT acc) const {
     accumulate(x, v, acc, 0, r);
   }
+  core::native::RowGather row_gather() const {
+    return {idx, nullptr, fac, nullptr, r, simd->level};
+  }
 };
 
 /// SpMTTKRP, 3-order fast path: Hadamard product of two factor rows.
@@ -87,6 +99,9 @@ struct Mttkrp2 {
   }
   void accumulate(nnz_t x, float v, float* UST_RESTRICT acc) const {
     accumulate(x, v, acc, 0, r);
+  }
+  core::native::RowGather row_gather() const {
+    return {idx0, idx1, fac0, fac1, r, simd->level};
   }
 
   /// Pass capacity of the fused multi-request walk below; passes wider than
@@ -126,7 +141,9 @@ struct Mttkrp2 {
   /// qualify (single block, too many blocks, mixed widths, or exprs that do
   /// not share index arrays / rank -- the latter never happens for batches
   /// formed by the engine's compatibility check, but is verified here so the
-  /// fast path carries no implicit precondition).
+  /// fast path carries no implicit precondition). `acc` is the pass's
+  /// accumulator tile: block b accumulates at acc + (b.acc_off -
+  /// pass[0].acc_off).
   template <class Block>
   static std::optional<PassFuser> make_pass_fuser(std::span<const Mttkrp2> exprs,
                                                   std::span<const Block> pass, float* acc) {
@@ -146,7 +163,7 @@ struct Mttkrp2 {
           e.idx1 != e0.idx1) {
         return std::nullopt;
       }
-      fz.accs[j] = acc + b.acc_off;
+      fz.accs[j] = acc + (b.acc_off - pass[0].acc_off);
       fz.abase[j] = e.fac0 + b.c0;
       fz.bbase[j] = e.fac1 + b.c0;
     }

@@ -186,7 +186,7 @@ void stream_execute(sim::Device& device, const HostFcoo& host, const Partitionin
                          [&](unsigned /*worker*/, std::size_t begin, std::size_t end) {
                            for (std::size_t k = begin; k < end; ++k) {
                              core::native::run_chunk(f, outs, exprs, blocks, pass_off,
-                                                     cols, workers[k], &tails[k * cols],
+                                                     workers[k], &tails[k * cols],
                                                      &head_partials[k * cols], states[k]);
                            }
                          });

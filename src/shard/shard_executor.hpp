@@ -213,7 +213,7 @@ void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partition
           workers.size(), /*grain=*/1,
           [&](unsigned /*worker*/, std::size_t begin, std::size_t end) {
             for (std::size_t k = begin; k < end; ++k) {
-              core::native::run_chunk(f, louts, exprs, blocks, pass_off, cols, workers[k],
+              core::native::run_chunk(f, louts, exprs, blocks, pass_off, workers[k],
                                       &tails[(base + k) * cols],
                                       &heads[(base + k) * cols], states[base + k]);
             }

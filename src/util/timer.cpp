@@ -32,6 +32,7 @@ TimingResult time_repeated(const std::function<void()>& fn, int reps, double bud
   r.repetitions = reps;
   r.min_s = samples.front();
   r.median_s = samples[samples.size() / 2];
+  r.p90_s = samples[(samples.size() * 9 + 9) / 10 - 1];
   double sum = 0.0;
   for (double s : samples) sum += s;
   r.mean_s = sum / static_cast<double>(samples.size());

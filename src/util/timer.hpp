@@ -29,6 +29,7 @@ class Timer {
 struct TimingResult {
   double min_s = 0.0;
   double median_s = 0.0;
+  double p90_s = 0.0;  // nearest-rank 90th percentile
   double mean_s = 0.0;
   double stddev_s = 0.0;
   int repetitions = 0;

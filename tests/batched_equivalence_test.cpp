@@ -281,15 +281,19 @@ TEST(BatchedEquivalence, SubmitCoalescingPreservesResultsAndCounters) {
   // hence never fused and counted in neither batching counter) that is big
   // enough for the six compatible submits to land while it runs. The retry
   // loop is a belt-and-braces fallback for a machine stalled longer than the
-  // blocker's runtime (results are checked every attempt regardless).
+  // blocker's runtime (results are checked every attempt regardless). The
+  // blocker is rank 128: at rank 16 the register walk finishes it in ~60 us
+  // on a 4-core host, too fast for the submits to land behind it under a
+  // parallel ctest run; rank 128 takes the generic walk, ~0.6 ms.
+  constexpr index_t kBlockerRank = 128;
   const CooTensor blocker_t = io::generate_uniform({60, 60, 60}, 150000, 99);
   core::UnifiedMttkrp blocker_op(eng, blocker_t, 0, part);
-  const auto blocker_factors = test::random_factors(blocker_t, rank, rng);
+  const auto blocker_factors = test::random_factors(blocker_t, kBlockerRank, rng);
   for (const Order& order : orders) {
     const std::uint64_t formed_before = eng.stats().batches_formed;
     bool formed = false;
     for (int attempt = 0; attempt < 8 && !formed; ++attempt) {
-      DenseMatrix blocker_out(blocker_t.dim(0), rank);
+      DenseMatrix blocker_out(blocker_t.dim(0), kBlockerRank);
       std::vector<DenseMatrix> outs;
       for (const auto& [p, j] : order.jobs) outs.emplace_back(t.dim(p), rank);
       std::vector<std::future<void>> futures;

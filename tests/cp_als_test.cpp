@@ -124,11 +124,13 @@ TEST(CpAls, TimingsBreakdownIsConsistent) {
 TEST(CpAls, UnifiedModeTimesAreBalanced) {
   // The paper's claim (Section IV-D): with per-mode F-COO plans the three
   // MTTKRP updates have "very similar and well-balanced execution times" on
-  // a cubic tensor.
+  // a cubic tensor. One MTTKRP here takes tens of microseconds, so the
+  // per-mode sums run over 100 iterations: over 10, a single scheduler stall
+  // of a pool worker under a parallel ctest run outweighed a mode's total.
   const auto lr = io::generate_low_rank({60, 60, 60}, 3, 60000, 0.0, 108);
   sim::Device dev;
   auto opt = basic_options(8);
-  opt.max_iterations = 10;
+  opt.max_iterations = 100;
   opt.fit_tolerance = 0.0;
   const auto result = test::cp_als_unified(dev, lr.tensor, opt);
   const auto& t = result.timings.mttkrp_seconds;

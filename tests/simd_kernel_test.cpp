@@ -7,6 +7,7 @@
 // tolerance: vector lanes never interact and no FMA contraction is allowed.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/native_exec.hpp"
@@ -274,6 +275,131 @@ TEST(SimdKernel, OpsForcedScalarBitwiseMatchesDispatched) {
       }
     }
   }
+}
+
+/// Runs `op` at the active SIMD level down every native path -- single-shot,
+/// streamed (`streamed` is the same op built with StreamingOptions), sharded
+/// over 2 devices and run_batched of all `ins` -- at rank_block 0 and 8, and
+/// asserts each result equals the forced-scalar single-shot result on the
+/// same grid (`want` for the default grid, `want_capped` for chunk_nnz
+/// `cap`).
+template <class Op, class In, class Out, class MakeOut>
+void expect_paths_match(engine::Engine& eng, const Op& op, const Op& streamed,
+                        const std::vector<In>& ins, const std::vector<Out>& want,
+                        const std::vector<Out>& want_capped, nnz_t cap,
+                        const MakeOut& make_out, const std::string& what) {
+  for (index_t rb : {index_t{0}, index_t{8}}) {
+    const std::string where = what + " rank_block " + std::to_string(rb);
+    UnifiedOptions opt;
+    opt.rank_block = rb;
+    ASSERT_EQ(Out::max_abs_diff(op.run(ins[0], opt), want[0]), 0.0) << "single-shot " << where;
+
+    UnifiedOptions sopt = opt;
+    sopt.chunk_nnz = cap;
+    ASSERT_EQ(Out::max_abs_diff(streamed.run(ins[0], sopt), want_capped[0]), 0.0)
+        << "streamed " << where;
+
+    UnifiedOptions dopt = opt;
+    dopt.shard.num_devices = 2;
+    ASSERT_EQ(Out::max_abs_diff(op.run(ins[0], dopt), want[0]), 0.0) << "sharded " << where;
+
+    std::vector<Out> outs;
+    for (std::size_t j = 0; j < ins.size(); ++j) outs.push_back(make_out());
+    engine::BatchedRequest br;
+    for (std::size_t j = 0; j < ins.size(); ++j) br.requests.push_back(op.request(ins[j], outs[j], opt));
+    eng.run_batched(br);
+    for (std::size_t j = 0; j < ins.size(); ++j) {
+      ASSERT_EQ(Out::max_abs_diff(outs[j], want[j]), 0.0) << "batched member " << j << " " << where;
+    }
+  }
+}
+
+/// The register walk covers single-block passes of at most 16 columns of
+/// SpMTTKRP (3-order) and SpTTM at AVX2 and AVX-512; other widths, the
+/// scalar level and multi-block batched passes keep the generic walk. The
+/// ranks straddle the 8- and 16-column vector widths, and rank_block 8
+/// splits ranks 15-33 into several walked passes (plus, at rank 33, a
+/// 1-column tail). Every path at every level must reproduce the
+/// forced-scalar generic walk bit for bit.
+TEST(SimdKernel, RegisterWalkBitwiseAcrossLevelsAndPaths) {
+  for (simd::Level level : available_levels()) {
+    EXPECT_EQ(native::register_walk(level, true) != nullptr, level != simd::Level::kScalar);
+    EXPECT_EQ(native::register_walk(level, false) != nullptr, level != simd::Level::kScalar);
+  }
+  sim::Device dev;
+  engine::Engine eng(dev);
+  Prng rng(4243);
+  const CooTensor t = test::random_coo3(rng, 28, 1800);
+  const Partitioning part{.threadlen = 4, .block_size = 64};
+  const int mode = 1;
+  constexpr nnz_t kCap = 64;
+  constexpr int kBatch = 3;
+  const StreamingOptions stream{.enabled = true, .chunk_nnz = kCap};
+  const UnifiedOptions capped{.chunk_nnz = kCap};
+
+  for (index_t rank : {1, 7, 8, 15, 16, 17, 33}) {
+    {
+      std::vector<std::vector<DenseMatrix>> ins;
+      for (int j = 0; j < kBatch; ++j) ins.push_back(test::random_factors(t, rank, rng));
+      UnifiedMttkrp op(eng, t, mode, part);
+      UnifiedMttkrp streamed(eng, t, mode, part, stream);
+      std::vector<DenseMatrix> want, want_capped;
+      {
+        simd::ScopedLevel forced(simd::Level::kScalar);
+        for (const auto& in : ins) {
+          want.push_back(op.run(in));
+          want_capped.push_back(op.run(in, capped));
+        }
+      }
+      for (simd::Level level : available_levels()) {
+        simd::ScopedLevel scoped(level);
+        expect_paths_match(eng, op, streamed, ins, want, want_capped, kCap,
+                           [&] { return DenseMatrix(t.dim(mode), rank); },
+                           std::string("mttkrp ") + simd::level_name(level) + " rank " +
+                               std::to_string(rank));
+      }
+    }
+    {
+      std::vector<DenseMatrix> ins;
+      for (int j = 0; j < kBatch; ++j) ins.push_back(test::random_matrix(t.dim(mode), rank, rng.next_u64()));
+      UnifiedSpttm op(eng, t, mode, part);
+      UnifiedSpttm streamed(eng, t, mode, part, stream);
+      std::vector<SemiSparseTensor> want, want_capped;
+      {
+        simd::ScopedLevel forced(simd::Level::kScalar);
+        for (const auto& in : ins) {
+          want.push_back(op.run(in));
+          want_capped.push_back(op.run(in, capped));
+        }
+      }
+      for (simd::Level level : available_levels()) {
+        simd::ScopedLevel scoped(level);
+        expect_paths_match(eng, op, streamed, ins, want, want_capped, kCap,
+                           [&] { return op.make_output(rank); },
+                           std::string("spttm ") + simd::level_name(level) + " rank " +
+                               std::to_string(rank));
+      }
+    }
+  }
+}
+
+TEST(SimdKernel, PassWiderThanStackTileMatchesBlocked) {
+  // A pass wider than kAutoRankBlock accumulates in a heap tile instead of
+  // the worker's stack tile; the result is still bitwise the blocked run.
+  sim::Device dev;
+  engine::Engine eng(dev);
+  Prng rng(5151);
+  const CooTensor t = test::random_coo3(rng, 20, 900);
+  const index_t rank = native::kAutoRankBlock + 88;
+  const auto factors = test::random_factors(t, rank, rng);
+  UnifiedMttkrp op(eng, t, 2, Partitioning{.threadlen = 4, .block_size = 64});
+  DenseMatrix want;
+  {
+    simd::ScopedLevel forced(simd::Level::kScalar);
+    want = op.run(factors);  // two passes: 512 + 88 columns
+  }
+  const DenseMatrix got = op.run(factors, UnifiedOptions{.rank_block = rank});
+  ASSERT_EQ(DenseMatrix::max_abs_diff(got, want), 0.0);
 }
 
 TEST(SimdKernel, RankBlockNeutralUnderStreaming) {

@@ -291,6 +291,7 @@ TEST(Timer, TimeRepeatedReturnsOrderedStats) {
   }, 5);
   EXPECT_EQ(r.repetitions, 5);
   EXPECT_LE(r.min_s, r.median_s);
+  EXPECT_LE(r.median_s, r.p90_s);
   EXPECT_GT(r.mean_s, 0.0);
 }
 
