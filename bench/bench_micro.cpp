@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the building blocks: warp/block
 // segmented scan, F-COO construction, bit-flag rank queries, COO sorting,
 // thread-pool dispatch, the unified kernel at several partitionings, and the
-// native chunk walk's scaling from one pool slot to the full pool.
+// scaling from one pool slot to the full pool of the native chunk walk and
+// of the CP-ALS dense update.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -10,6 +11,8 @@
 #include "core/unified_kernel.hpp"
 #include "io/datasets.hpp"
 #include "io/generate.hpp"
+#include "linalg/dense_ops.hpp"
+#include "linalg/solve.hpp"
 #include "sim/collectives.hpp"
 #include "engine/engine.hpp"
 #include "sim/device.hpp"
@@ -172,6 +175,44 @@ void BM_NativeChunkWalk(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_NativeChunkWalk)->Arg(1)->Arg(0)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// One CP-ALS dense update (Gram solve, normalise, Gram, fit inner product)
+// on a 255k x 16 M, the nell1 replica's mode-2 shape, with one pool slot and
+// with the full pool (arg 0 = hardware width); per_row is wall time per row
+// of M. A parallel per_row at or above the serial one means the row-block
+// dense layer has stopped scaling. Each iteration solves the previous
+// iteration's normalised factor in place, so no copy of M is timed.
+void BM_CpDenseUpdate(benchmark::State& state) {
+  constexpr index_t kRows = 255000;
+  constexpr index_t kRank = 16;
+  Prng rng(9);
+  DenseMatrix m(kRows, kRank);
+  m.fill_random(rng, 0.1f, 1.0f);
+  DenseMatrix b(3000, kRank);
+  DenseMatrix c(2000, kRank);
+  b.fill_random(rng, 0.1f, 1.0f);
+  c.fill_random(rng, 0.1f, 1.0f);
+  linalg::normalize_columns(b);
+  linalg::normalize_columns(c);
+  const DenseMatrix v = linalg::hadamard(linalg::gram(b), linalg::gram(c));
+  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  DenseMatrix a = m;
+  for (auto _ : state) {
+    a = linalg::solve_gram(v, std::move(a), &pool);
+    const auto lambda = linalg::normalize_columns(a, &pool);
+    const DenseMatrix g = linalg::gram(a, &pool);
+    const double iprod = linalg::weighted_inner_product(m, a, lambda, &pool);
+    benchmark::DoNotOptimize(a.data());
+    benchmark::DoNotOptimize(g.data());
+    benchmark::DoNotOptimize(iprod);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::to_string(pool.size() + 1) + " slots");
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(kRows),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CpDenseUpdate)->Arg(1)->Arg(0)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

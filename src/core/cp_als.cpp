@@ -8,6 +8,7 @@
 #include "linalg/solve.hpp"
 #include "sim/stream.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ust::core {
@@ -55,7 +56,9 @@ void sort_components(std::vector<DenseMatrix>& factors, std::vector<double>& lam
   for (auto& f : factors) {
     DenseMatrix g(f.rows(), f.cols());
     for (index_t i = 0; i < f.rows(); ++i) {
-      for (index_t c = 0; c < r; ++c) g(i, c) = f(i, order[c]);
+      const auto src = f.row(i);
+      auto dst = g.row(i);
+      for (index_t c = 0; c < r; ++c) dst[c] = src[order[c]];
     }
     f = std::move(g);
   }
@@ -73,6 +76,10 @@ CpResult cp_als_driver(const CooTensor& tensor, const CpOptions& options,
 
   Timer total_timer;
   CpResult result;
+  // The synchronous dense steps run on the pool the default engine runs
+  // MTTKRP on, idle while they run. Row-block reductions make their bits
+  // independent of the pool width (DESIGN.md §16).
+  ThreadPool* const pool = &ThreadPool::global();
   result.timings.mttkrp_seconds.assign(static_cast<std::size_t>(order), 0.0);
 
   // Random init with unit-norm columns (Algorithm 1 does not prescribe the
@@ -84,17 +91,19 @@ CpResult cp_als_driver(const CooTensor& tensor, const CpOptions& options,
   for (int m = 0; m < order; ++m) {
     DenseMatrix f(tensor.dim(m), options.rank);
     f.fill_random(rng, 0.1f, 1.0f);
-    linalg::normalize_columns(f);
+    linalg::normalize_columns(f, pool);
     factors.push_back(std::move(f));
   }
-  for (const auto& f : factors) grams.push_back(linalg::gram(f));
+  for (const auto& f : factors) grams.push_back(linalg::gram(f, pool));
 
   const double norm_x = tensor.frobenius_norm();
   std::vector<double> lambda(options.rank, 1.0);
   double prev_fit = 0.0;
 
   // Dense-algebra stream: Gram recomputation of the freshly updated factor
-  // overlaps the next mode's MTTKRP (Section V-E's two-stream layout).
+  // overlaps the next mode's MTTKRP (Section V-E's two-stream layout). That
+  // Gram runs serially: taking the pool from the stream thread would push
+  // the concurrent MTTKRP's parallel_ranges onto its serial nested-job path.
   sim::Stream dense_stream;
   int pending_gram = -1;
 
@@ -110,8 +119,11 @@ CpResult cp_als_driver(const CooTensor& tensor, const CpOptions& options,
         pending_gram = -1;
       }
       const DenseMatrix v = gram_product_except(grams, n);
-      DenseMatrix a = linalg::solve_gram(v, m);
-      lambda = linalg::normalize_columns(a);
+      // The fit needs the last mode's M; every other M is solved in place.
+      const bool last = n == order - 1;
+      DenseMatrix a = last ? linalg::solve_gram(v, m, pool)
+                           : linalg::solve_gram(v, std::move(m), pool);
+      lambda = linalg::normalize_columns(a, pool);
       // Guard against dead components (zero columns): keep lambda positive.
       for (auto& l : lambda) {
         if (l == 0.0) l = 1e-30;
@@ -120,12 +132,14 @@ CpResult cp_als_driver(const CooTensor& tensor, const CpOptions& options,
       if (options.use_streams && n + 1 < order) {
         pending_gram = n;
         dense_stream.enqueue([&grams, &factors, n] {
-          grams[static_cast<std::size_t>(n)] = linalg::gram(factors[static_cast<std::size_t>(n)]);
+          grams[static_cast<std::size_t>(n)] =
+              linalg::gram(factors[static_cast<std::size_t>(n)], nullptr);
         });
       } else {
-        grams[static_cast<std::size_t>(n)] = linalg::gram(factors[static_cast<std::size_t>(n)]);
+        grams[static_cast<std::size_t>(n)] =
+            linalg::gram(factors[static_cast<std::size_t>(n)], pool);
       }
-      if (n == order - 1) last_m = std::move(m);
+      if (last) last_m = std::move(m);
     }
     if (pending_gram >= 0) {
       dense_stream.synchronize();
@@ -135,15 +149,8 @@ CpResult cp_als_driver(const CooTensor& tensor, const CpOptions& options,
     // Fit via the standard identity: ||X - model||^2 =
     //   ||X||^2 + ||model||^2 - 2 <X, model>, with
     //   <X, model> = sum_{i,r} M(i,r) * lambda_r * A_last(i,r).
-    double iprod = 0.0;
-    const auto& a_last = factors[static_cast<std::size_t>(order - 1)];
-    for (index_t i = 0; i < last_m.rows(); ++i) {
-      const auto mrow = last_m.row(i);
-      const auto arow = a_last.row(i);
-      for (index_t c = 0; c < options.rank; ++c) {
-        iprod += static_cast<double>(mrow[c]) * arow[c] * lambda[c];
-      }
-    }
+    const double iprod = linalg::weighted_inner_product(
+        last_m, factors[static_cast<std::size_t>(order - 1)], lambda, pool);
     const double nm = model_norm(grams, lambda);
     const double residual2 = std::max(0.0, norm_x * norm_x + nm * nm - 2.0 * iprod);
     const double fit = norm_x == 0.0 ? 1.0 : 1.0 - std::sqrt(residual2) / norm_x;

@@ -2,10 +2,11 @@
 // GPU -- Algorithm 1 of the paper. The MTTKRP in every mode update runs as a
 // unified one-shot kernel from a per-mode F-COO plan built once up front
 // ("preprocessed for different modes on the host ... transferred once").
-// The dense matrix algebra (Gram matrices, pseudo-inverse, normalisation)
-// runs on a second stream, overlapping the next mode's MTTKRP where the
-// dependence structure allows, as in the paper's two-stream Section V-E
-// implementation.
+// Of the dense matrix algebra, only the Gram matrix of the freshly updated
+// factor runs on a second stream, overlapping the next mode's MTTKRP as in
+// the paper's two-stream Section V-E implementation. The rest (Gram solve,
+// normalisation, the last mode's Gram, the fit) sits on the critical path
+// and runs in row blocks on ThreadPool::global() (DESIGN.md §16).
 #pragma once
 
 #include <functional>
@@ -36,13 +37,16 @@ struct CpOptions {
   /// Streams every MTTKRP through bounded-memory chunk plans when enabled
   /// (tensors larger than device memory); bypasses the plan cache.
   StreamingOptions streaming;
-  bool use_streams = true;   // overlap dense algebra with MTTKRP
+  bool use_streams = true;   // overlap the new factor's Gram with the next MTTKRP
   std::uint64_t seed = 42;   // factor initialisation
 };
 
 struct CpTimings {
   std::vector<double> mttkrp_seconds;  // per mode, accumulated over iterations
-  double dense_seconds = 0.0;          // gram/solve/normalise ("other")
+  /// Everything but MTTKRP: total_seconds minus the mttkrp_seconds sum, so
+  /// besides the per-mode Gram/solve/normalise and the fit it includes the
+  /// factor init and the final sort_components.
+  double dense_seconds = 0.0;
   double total_seconds = 0.0;
 };
 

@@ -1,8 +1,51 @@
 #include "linalg/dense_ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ust::linalg {
+
+namespace {
+
+/// Runs partial(begin, end, acc) for every row block into a zeroed
+/// `width`-double scratch, keeps one partial per block, and sums the
+/// partials in block order. The first block's partial is taken as is, so a
+/// single-block matrix yields the serial row-order sum bit for bit.
+std::vector<double> block_reduce(index_t rows, std::size_t width, ThreadPool* pool,
+                                 const std::function<void(index_t, index_t, double*)>& partial) {
+  const std::size_t blocks = row_block_count(rows);
+  if (blocks == 0) return std::vector<double>(width, 0.0);
+  std::vector<double> partials(blocks * width);
+  for_each_row_block(rows, pool, [&](std::size_t b, index_t begin, index_t end) {
+    // Accumulate in block-private scratch: neighbouring blocks' slots in
+    // `partials` may share a cache line.
+    std::vector<double> acc(width, 0.0);
+    partial(begin, end, acc.data());
+    std::copy(acc.begin(), acc.end(), partials.begin() + static_cast<std::ptrdiff_t>(b * width));
+  });
+  std::vector<double> total(partials.begin(), partials.begin() + static_cast<std::ptrdiff_t>(width));
+  for (std::size_t b = 1; b < blocks; ++b) {
+    for (std::size_t k = 0; k < width; ++k) total[k] += partials[b * width + k];
+  }
+  return total;
+}
+
+}  // namespace
+
+void for_each_row_block(index_t rows, ThreadPool* pool,
+                        const std::function<void(std::size_t, index_t, index_t)>& body) {
+  const auto run = [&](std::size_t b) {
+    const std::size_t begin = b * kRowBlock;
+    const std::size_t end = std::min<std::size_t>(rows, begin + kRowBlock);
+    body(b, static_cast<index_t>(begin), static_cast<index_t>(end));
+  };
+  const std::size_t blocks = row_block_count(rows);
+  if (pool == nullptr) {
+    for (std::size_t b = 0; b < blocks; ++b) run(b);
+    return;
+  }
+  pool->parallel_for(blocks, 1, run);
+}
 
 DenseMatrix matmul(const DenseMatrix& a, const DenseMatrix& b) {
   UST_EXPECTS(a.cols() == b.rows());
@@ -20,17 +63,21 @@ DenseMatrix matmul(const DenseMatrix& a, const DenseMatrix& b) {
   return c;
 }
 
-DenseMatrix gram(const DenseMatrix& a) {
+DenseMatrix gram(const DenseMatrix& a, ThreadPool* pool) {
   const index_t r = a.cols();
-  std::vector<double> acc(static_cast<std::size_t>(r) * r, 0.0);
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const auto row = a.row(i);
-    for (index_t p = 0; p < r; ++p) {
-      const double v = row[p];
-      if (v == 0.0) continue;
-      for (index_t q = p; q < r; ++q) acc[static_cast<std::size_t>(p) * r + q] += v * row[q];
-    }
-  }
+  const std::vector<double> acc = block_reduce(
+      a.rows(), static_cast<std::size_t>(r) * r, pool,
+      [&a, r](index_t begin, index_t end, double* part) {
+        for (index_t i = begin; i < end; ++i) {
+          const value_t* row = a.data() + static_cast<std::size_t>(i) * r;
+          for (index_t p = 0; p < r; ++p) {
+            const double v = row[p];
+            if (v == 0.0) continue;
+            double* prow = part + static_cast<std::size_t>(p) * r;
+            for (index_t q = p; q < r; ++q) prow[q] += v * row[q];
+          }
+        }
+      });
   DenseMatrix g(r, r);
   for (index_t p = 0; p < r; ++p) {
     for (index_t q = p; q < r; ++q) {
@@ -84,24 +131,30 @@ void kronecker_row(std::span<const value_t> a, std::span<const value_t> b,
   }
 }
 
-std::vector<double> column_norms(const DenseMatrix& a) {
-  std::vector<double> norms(a.cols(), 0.0);
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const auto row = a.row(i);
-    for (index_t j = 0; j < a.cols(); ++j) norms[j] += static_cast<double>(row[j]) * row[j];
-  }
+std::vector<double> column_norms(const DenseMatrix& a, ThreadPool* pool) {
+  const index_t r = a.cols();
+  std::vector<double> norms =
+      block_reduce(a.rows(), r, pool, [&a, r](index_t begin, index_t end, double* part) {
+        for (index_t i = begin; i < end; ++i) {
+          const value_t* row = a.data() + static_cast<std::size_t>(i) * r;
+          for (index_t j = 0; j < r; ++j) part[j] += static_cast<double>(row[j]) * row[j];
+        }
+      });
   for (auto& n : norms) n = std::sqrt(n);
   return norms;
 }
 
-std::vector<double> normalize_columns(DenseMatrix& a) {
-  auto norms = column_norms(a);
-  for (index_t i = 0; i < a.rows(); ++i) {
-    auto row = a.row(i);
-    for (index_t j = 0; j < a.cols(); ++j) {
-      if (norms[j] > 0.0) row[j] = static_cast<value_t>(row[j] / norms[j]);
+std::vector<double> normalize_columns(DenseMatrix& a, ThreadPool* pool) {
+  auto norms = column_norms(a, pool);
+  const index_t r = a.cols();
+  for_each_row_block(a.rows(), pool, [&a, &norms, r](std::size_t, index_t begin, index_t end) {
+    for (index_t i = begin; i < end; ++i) {
+      value_t* row = a.data() + static_cast<std::size_t>(i) * r;
+      for (index_t j = 0; j < r; ++j) {
+        if (norms[j] > 0.0) row[j] = static_cast<value_t>(row[j] / norms[j]);
+      }
     }
-  }
+  });
   return norms;
 }
 
@@ -136,6 +189,22 @@ double dot(const DenseMatrix& a, const DenseMatrix& b) {
   const auto sb = b.span();
   for (std::size_t i = 0; i < sa.size(); ++i) sum += static_cast<double>(sa[i]) * sb[i];
   return sum;
+}
+
+double weighted_inner_product(const DenseMatrix& a, const DenseMatrix& b,
+                              std::span<const double> w, ThreadPool* pool) {
+  UST_EXPECTS(a.rows() == b.rows() && a.cols() == b.cols());
+  UST_EXPECTS(w.size() == a.cols());
+  const index_t r = a.cols();
+  return block_reduce(a.rows(), 1, pool, [&a, &b, w, r](index_t begin, index_t end, double* part) {
+    double sum = 0.0;
+    for (index_t i = begin; i < end; ++i) {
+      const value_t* arow = a.data() + static_cast<std::size_t>(i) * r;
+      const value_t* brow = b.data() + static_cast<std::size_t>(i) * r;
+      for (index_t c = 0; c < r; ++c) sum += static_cast<double>(arow[c]) * brow[c] * w[c];
+    }
+    *part = sum;
+  })[0];
 }
 
 }  // namespace ust::linalg

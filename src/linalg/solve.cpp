@@ -1,11 +1,62 @@
 #include "linalg/solve.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/dense_ops.hpp"
 #include "linalg/eigen.hpp"
 
 namespace ust::linalg {
+
+namespace {
+
+/// Rows solved side by side. One row's substitution is a chain of dependent
+/// subtracts; running a group of rows in lockstep puts the independent work
+/// in the innermost loop, where it vectorises across rows.
+constexpr index_t kSolveGroup = 8;
+
+/// Solves `count` (<= kSolveGroup) consecutive rows of `rows` (n floats each)
+/// in place: forward substitution with L, then backward with L^T. `lower`
+/// is L and `upper` is L^T, both row-major in double; `xs` is n *
+/// kSolveGroup floats of scratch holding the group column-interleaved. The
+/// per-row operation order matches spd_solve on the transposed rows.
+void solve_row_group(const double* lower, const double* upper, index_t n, value_t* rows,
+                     index_t count, value_t* xs) {
+  constexpr index_t G = kSolveGroup;
+  for (index_t k = 0; k < n; ++k) {
+    for (index_t g = 0; g < G; ++g) {
+      xs[k * G + g] = g < count ? rows[static_cast<std::size_t>(g) * n + k] : value_t{0};
+    }
+  }
+  double sum[G] = {};
+  for (index_t i = 0; i < n; ++i) {
+    const double* li = lower + static_cast<std::size_t>(i) * n;
+    for (index_t g = 0; g < G; ++g) sum[g] = xs[i * G + g];
+    for (index_t k = 0; k < i; ++k) {
+      const double lik = li[k];
+      const value_t* xk = xs + k * G;
+      for (index_t g = 0; g < G; ++g) sum[g] -= lik * xk[g];
+    }
+    const double d = li[i];
+    for (index_t g = 0; g < G; ++g) xs[i * G + g] = static_cast<value_t>(sum[g] / d);
+  }
+  for (index_t i = n; i-- > 0;) {
+    const double* ui = upper + static_cast<std::size_t>(i) * n;
+    for (index_t g = 0; g < G; ++g) sum[g] = xs[i * G + g];
+    for (index_t k = i + 1; k < n; ++k) {
+      const double lki = ui[k];
+      const value_t* xk = xs + k * G;
+      for (index_t g = 0; g < G; ++g) sum[g] -= lki * xk[g];
+    }
+    const double d = ui[i];
+    for (index_t g = 0; g < G; ++g) xs[i * G + g] = static_cast<value_t>(sum[g] / d);
+  }
+  for (index_t g = 0; g < count; ++g) {
+    for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(g) * n + k] = xs[k * G + g];
+  }
+}
+
+}  // namespace
 
 std::optional<DenseMatrix> cholesky(const DenseMatrix& a) {
   UST_EXPECTS(a.rows() == a.cols());
@@ -74,14 +125,31 @@ DenseMatrix pinv_symmetric(const DenseMatrix& a, double rcond) {
   return result;
 }
 
-DenseMatrix solve_gram(const DenseMatrix& a, const DenseMatrix& b) {
+DenseMatrix solve_gram(const DenseMatrix& a, DenseMatrix b, ThreadPool* pool) {
   UST_EXPECTS(a.rows() == a.cols());
   UST_EXPECTS(b.cols() == a.rows());
-  // B has shape I x R, A is R x R; we want B * pinv(A). Solve A X^T = B^T
-  // when A is SPD (A symmetric: A X = B^T gives X = A^-1 B^T, and
-  // B A^-1 = (A^-1 B^T)^T since A^-1 is symmetric).
-  if (auto x = spd_solve(a, transpose(b))) return transpose(*x);
-  return matmul(b, pinv_symmetric(a));
+  // B has shape I x R, A is R x R; we want B * pinv(A). When A = L L^T is
+  // SPD, row x of X solves A x^T = b^T (A^-1 is symmetric), i.e. L z = b^T
+  // then L^T x^T = z, one row at a time.
+  const auto chol = cholesky(a);
+  if (!chol) return matmul(b, pinv_symmetric(a));
+  const index_t n = a.rows();
+  std::vector<double> lower(static_cast<std::size_t>(n) * n);
+  std::vector<double> upper(lower.size());
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t k = 0; k <= i; ++k) {
+      lower[static_cast<std::size_t>(i) * n + k] = (*chol)(i, k);
+      upper[static_cast<std::size_t>(k) * n + i] = (*chol)(i, k);
+    }
+  }
+  for_each_row_block(b.rows(), pool, [&](std::size_t, index_t begin, index_t end) {
+    std::vector<value_t> xs(static_cast<std::size_t>(n) * kSolveGroup);
+    for (index_t r = begin; r < end; r += kSolveGroup) {
+      solve_row_group(lower.data(), upper.data(), n, b.data() + static_cast<std::size_t>(r) * n,
+                      std::min(kSolveGroup, end - r), xs.data());
+    }
+  });
+  return b;
 }
 
 }  // namespace ust::linalg

@@ -6,6 +6,7 @@
 
 #include "tensor/dense.hpp"
 #include "util/common.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ust::linalg {
 
@@ -25,7 +26,12 @@ std::optional<DenseMatrix> spd_solve(const DenseMatrix& a, const DenseMatrix& b)
 DenseMatrix pinv_symmetric(const DenseMatrix& a, double rcond = 1e-10);
 
 /// X = B * pinv(A) for symmetric A: the CP-ALS update applied row-wise.
-/// Uses Cholesky when A is SPD, otherwise the eigen pseudo-inverse.
-DenseMatrix solve_gram(const DenseMatrix& a, const DenseMatrix& b);
+/// Uses Cholesky when A is SPD, otherwise the eigen pseudo-inverse. The SPD
+/// path solves each row of B in place (forward then backward substitution,
+/// double accumulate, float store), in kRowBlock-row blocks on `pool` when
+/// non-null. Each row's operation order is that of spd_solve on B^T, so the
+/// result is bitwise identical to transpose(spd_solve(a, transpose(b))) for
+/// any pool width. Pass B as an rvalue to reuse its storage for X.
+DenseMatrix solve_gram(const DenseMatrix& a, DenseMatrix b, ThreadPool* pool = nullptr);
 
 }  // namespace ust::linalg

@@ -92,6 +92,33 @@ TEST(CpAls, StreamedAndSerialGiveSameFactors) {
   EXPECT_NEAR(with_streams.fit, serial.fit, 1e-6);
 }
 
+TEST(CpAls, MultiBlockSolveIsDeterministic) {
+  // Mode 0 spans three row blocks of the dense update, so its solve,
+  // normalise, Gram and the fit reduce over pool-parallel blocks; every
+  // other CP test fits in one block.
+  const auto lr = io::generate_low_rank({6000, 40, 30}, 3, 30000, 0.02, 112);
+  sim::Device dev;
+  auto opt = basic_options(4);
+  opt.max_iterations = 8;
+  opt.fit_tolerance = 0.0;
+  const auto first = test::cp_als_unified(dev, lr.tensor, opt);
+  const auto second = test::cp_als_unified(dev, lr.tensor, opt);
+  ASSERT_EQ(first.factors.size(), second.factors.size());
+  for (std::size_t m = 0; m < first.factors.size(); ++m) {
+    EXPECT_EQ(first.factors[m], second.factors[m]) << "mode " << m;
+  }
+  EXPECT_EQ(first.lambda, second.lambda);
+  EXPECT_EQ(first.fit, second.fit);
+  EXPECT_EQ(first.fit_history, second.fit_history);
+
+  opt.use_streams = false;
+  const auto serial = test::cp_als_unified(dev, lr.tensor, opt);
+  for (std::size_t m = 0; m < serial.factors.size(); ++m) {
+    EXPECT_LT(DenseMatrix::max_abs_diff(first.factors[m], serial.factors[m]), 1e-4);
+  }
+  EXPECT_NEAR(first.fit, serial.fit, 1e-6);
+}
+
 TEST(CpAls, HandlesRankLargerThanSmallestMode) {
   // The brainq situation: one tiny mode (dim 6) with rank 8 makes the Gram
   // product rank-deficient; the pseudo-inverse path must keep ALS stable.

@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 
 #include "linalg/dense_ops.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/solve.hpp"
 #include "tensor/dense.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ust {
 namespace {
@@ -18,6 +20,73 @@ DenseMatrix random_matrix(index_t r, index_t c, std::uint64_t seed, float lo = -
   DenseMatrix m(r, c);
   m.fill_random(rng, lo, hi);
   return m;
+}
+
+// The column-wise Gram solve solve_gram used before it went row-major:
+// transpose, spd_solve per column, transpose back; the pseudo-inverse when
+// V is not SPD. The row solve must reproduce it bit for bit.
+DenseMatrix column_solve_gram(const DenseMatrix& v, const DenseMatrix& m) {
+  if (auto x = linalg::spd_solve(v, linalg::transpose(m))) return linalg::transpose(*x);
+  return linalg::matmul(m, linalg::pinv_symmetric(v));
+}
+
+// The serial row-order loops gram, column_norms and the CP fit ran before
+// they were split into row blocks: a single-block matrix must reproduce them
+// bit for bit.
+std::vector<double> serial_gram_upper(const DenseMatrix& a) {
+  const index_t r = a.cols();
+  std::vector<double> acc(static_cast<std::size_t>(r) * r, 0.0);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto row = a.row(i);
+    for (index_t p = 0; p < r; ++p) {
+      const double v = row[p];
+      if (v == 0.0) continue;
+      for (index_t q = p; q < r; ++q) acc[static_cast<std::size_t>(p) * r + q] += v * row[q];
+    }
+  }
+  return acc;
+}
+
+DenseMatrix serial_gram(const DenseMatrix& a) {
+  const index_t r = a.cols();
+  const auto acc = serial_gram_upper(a);
+  DenseMatrix g(r, r);
+  for (index_t p = 0; p < r; ++p) {
+    for (index_t q = p; q < r; ++q) {
+      const auto v = static_cast<value_t>(acc[static_cast<std::size_t>(p) * r + q]);
+      g(p, q) = v;
+      g(q, p) = v;
+    }
+  }
+  return g;
+}
+
+std::vector<double> serial_column_norms(const DenseMatrix& a) {
+  std::vector<double> norms(a.cols(), 0.0);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto row = a.row(i);
+    for (index_t j = 0; j < a.cols(); ++j) norms[j] += static_cast<double>(row[j]) * row[j];
+  }
+  for (auto& n : norms) n = std::sqrt(n);
+  return norms;
+}
+
+double serial_weighted_inner_product(const DenseMatrix& a, const DenseMatrix& b,
+                                     std::span<const double> w) {
+  double sum = 0.0;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto arow = a.row(i);
+    const auto brow = b.row(i);
+    for (index_t c = 0; c < a.cols(); ++c) sum += static_cast<double>(arow[c]) * brow[c] * w[c];
+  }
+  return sum;
+}
+
+std::vector<double> random_weights(index_t n, std::uint64_t seed) {
+  Prng rng(seed);
+  std::vector<double> w(n);
+  for (auto& x : w) x = rng.next_float(0.5f, 2.0f);
+  return w;
 }
 
 TEST(DenseMatrix, BasicAccessAndRows) {
@@ -224,6 +293,89 @@ TEST(Solve, SolveGramMatchesDirectInverseWhenSpd) {
   const DenseMatrix x = linalg::solve_gram(v, m);   // = M pinv(V)
   const DenseMatrix expect = linalg::matmul(m, linalg::pinv_symmetric(v));
   EXPECT_LT(DenseMatrix::max_abs_diff(x, expect), 1e-3);
+}
+
+TEST(Solve, SolveGramMatchesColumnSolveBitwise) {
+  ThreadPool pool(4);
+  for (const index_t r : {1u, 3u, 8u, 16u, 17u, 33u}) {
+    DenseMatrix v = linalg::gram(random_matrix(4 * r, r, 20 + r));
+    for (index_t i = 0; i < r; ++i) v(i, i) += 0.1f;
+    ASSERT_TRUE(linalg::cholesky(v).has_value()) << "R " << r;
+    // Row counts off the 8-row group and the row block in every direction.
+    for (const index_t rows : {1u, 7u, 8u, 2049u, 5000u}) {
+      const DenseMatrix m = random_matrix(rows, r, 30 + rows * 64 + r);
+      const DenseMatrix want = column_solve_gram(v, m);
+      EXPECT_EQ(DenseMatrix::max_abs_diff(linalg::solve_gram(v, m), want), 0.0)
+          << "R " << r << ", rows " << rows << ", serial";
+      EXPECT_EQ(DenseMatrix::max_abs_diff(linalg::solve_gram(v, m, &pool), want), 0.0)
+          << "R " << r << ", rows " << rows << ", pool";
+    }
+  }
+}
+
+TEST(Solve, SolveGramRankDeficientMatchesPseudoInverse) {
+  // An exactly zero column makes V singular (V(R-1, R-1) == 0), so Cholesky
+  // fails and both paths take the pseudo-inverse.
+  DenseMatrix a = random_matrix(40, 6, 40);
+  for (index_t i = 0; i < a.rows(); ++i) a(i, 5) = 0.0f;
+  const DenseMatrix v = linalg::gram(a);
+  ASSERT_FALSE(linalg::cholesky(v).has_value());
+  ThreadPool pool(4);
+  for (const index_t rows : {7u, 2049u}) {
+    const DenseMatrix m = random_matrix(rows, 6, 41 + rows);
+    const DenseMatrix want = column_solve_gram(v, m);
+    EXPECT_EQ(DenseMatrix::max_abs_diff(linalg::solve_gram(v, m), want), 0.0) << rows;
+    EXPECT_EQ(DenseMatrix::max_abs_diff(linalg::solve_gram(v, m, &pool), want), 0.0) << rows;
+  }
+}
+
+TEST(Linalg, RowBlockReductionsIndependentOfPoolWidth) {
+  // 10000 rows = 5 row blocks, the last one partial.
+  const DenseMatrix a = random_matrix(10000, 16, 50);
+  const DenseMatrix b = random_matrix(10000, 16, 51);
+  const auto w = random_weights(16, 52);
+  ASSERT_GT(linalg::row_block_count(a.rows()), 2u);
+
+  const DenseMatrix g0 = linalg::gram(a);
+  const auto n0 = linalg::column_norms(a);
+  const double d0 = linalg::weighted_inner_product(a, b, w);
+  DenseMatrix u0 = a;
+  const auto l0 = linalg::normalize_columns(u0);
+  for (const unsigned width : {1u, 2u, 4u}) {
+    ThreadPool pool(width);
+    EXPECT_EQ(linalg::gram(a, &pool), g0) << width;
+    EXPECT_EQ(linalg::column_norms(a, &pool), n0) << width;
+    EXPECT_EQ(linalg::weighted_inner_product(a, b, w, &pool), d0) << width;
+    DenseMatrix u = a;
+    EXPECT_EQ(linalg::normalize_columns(u, &pool), l0) << width;
+    EXPECT_EQ(u, u0) << width;
+  }
+
+  // Block-order summation changes association, not the value.
+  const auto upper = serial_gram_upper(a);
+  for (index_t p = 0; p < 16; ++p) {
+    for (index_t q = p; q < 16; ++q) {
+      const double want = upper[static_cast<std::size_t>(p) * 16 + q];
+      EXPECT_NEAR(g0(p, q), want, 1e-6 * std::abs(want)) << p << "," << q;
+    }
+  }
+  const auto norms = serial_column_norms(a);
+  for (index_t j = 0; j < 16; ++j) EXPECT_NEAR(n0[j], norms[j], 1e-6 * norms[j]) << j;
+  const double dot = serial_weighted_inner_product(a, b, w);
+  EXPECT_NEAR(d0, dot, 1e-6 * std::abs(dot));
+}
+
+TEST(Linalg, SingleBlockReductionsEqualSerialLoops) {
+  const DenseMatrix a = random_matrix(linalg::kRowBlock - 3, 16, 60);
+  const DenseMatrix b = random_matrix(linalg::kRowBlock - 3, 16, 61);
+  const auto w = random_weights(16, 62);
+  ASSERT_EQ(linalg::row_block_count(a.rows()), 1u);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    EXPECT_EQ(linalg::gram(a, p), serial_gram(a));
+    EXPECT_EQ(linalg::column_norms(a, p), serial_column_norms(a));
+    EXPECT_EQ(linalg::weighted_inner_product(a, b, w, p), serial_weighted_inner_product(a, b, w));
+  }
 }
 
 }  // namespace
