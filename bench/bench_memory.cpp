@@ -92,7 +92,13 @@ int main(int argc, char** argv) {
         sim::Device dev;
         engine::Engine eng(dev);
         core::UnifiedMttkrp op(eng, d.tensor, mode, d.spec.best_spmttkrp);
-        op.run(factors, bench::kernel_options(cli));
+        // The sim backend models the GPU: factors and output are staged in
+        // device memory, as ParTI's are and as the analytic footprint counts
+        // them. Native runs read and write host memory in place, so their
+        // peak would hold the plan alone.
+        core::UnifiedOptions gpu = bench::kernel_options(cli);
+        gpu.backend = core::ExecBackend::kSim;
+        op.run(factors, gpu);
         uni_mb = static_cast<double>(dev.peak_bytes()) / (1024.0 * 1024.0);
       }
       t.add_row({d.name, Table::num(parti_mb, 1), Table::num(uni_mb, 1),

@@ -183,17 +183,22 @@ CpResult cp_als_unified(engine::Engine& engine, const CooTensor& tensor,
   // once, and no format conversion happens inside the iteration. The
   // engine's primary plan cache (or options.plan_cache) turns repeated
   // solver calls on the same tensor into per-mode cache hits.
+  Timer plan_timer;
   std::vector<UnifiedMttkrp> ops;
   ops.reserve(static_cast<std::size_t>(tensor.order()));
   for (int m = 0; m < tensor.order(); ++m) {
     ops.emplace_back(engine, tensor, m, options.part, options.streaming,
                      options.plan_cache);
   }
-  return cp_als_driver(tensor, options,
-                       [&](int mode, const std::vector<DenseMatrix>& factors) {
-                         return ops[static_cast<std::size_t>(mode)].run(
-                             factors, options.kernel);
-                       });
+  const double plan_s = plan_timer.seconds();
+  CpResult result = cp_als_driver(tensor, options,
+                                  [&](int mode, const std::vector<DenseMatrix>& factors) {
+                                    return ops[static_cast<std::size_t>(mode)].run(
+                                        factors, options.kernel);
+                                  });
+  result.timings.plan_seconds = plan_s;
+  result.timings.total_seconds += plan_s;
+  return result;
 }
 
 }  // namespace ust::core

@@ -43,10 +43,16 @@ struct CpOptions {
 
 struct CpTimings {
   std::vector<double> mttkrp_seconds;  // per mode, accumulated over iterations
-  /// Everything but MTTKRP: total_seconds minus the mttkrp_seconds sum, so
-  /// besides the per-mode Gram/solve/normalise and the fit it includes the
-  /// factor init and the final sort_components.
+  /// Per-mode MTTKRP plan acquisition before the first iteration
+  /// (cp_als_unified: one engine plan() per mode -- a cache hit on a warm
+  /// engine, F-COO build and upload on a cold one); 0 for cp_als_driver.
+  double plan_seconds = 0.0;
+  /// Everything but MTTKRP and plan acquisition: total_seconds minus
+  /// plan_seconds and the mttkrp_seconds sum, so besides the per-mode
+  /// Gram/solve/normalise and the fit it includes the factor init and the
+  /// final sort_components.
   double dense_seconds = 0.0;
+  /// Wall time of the whole call, plan acquisition included.
   double total_seconds = 0.0;
 };
 

@@ -96,6 +96,73 @@ double cost_feature(const OpPlan& p, index_t out_cols) {
 
 constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
+/// True when the element ranges [a, a + na) and [b, b + nb) share an element.
+bool ranges_overlap(const value_t* a, std::size_t na, const value_t* b, std::size_t nb) {
+  if (na == 0 || nb == 0) return false;
+  const auto addr = [](const value_t* ptr) { return reinterpret_cast<std::uintptr_t>(ptr); };
+  return addr(a) < addr(b + nb) && addr(b) < addr(a + na);
+}
+
+/// Zeroes a native job's row-major output before the kernels accumulate into
+/// it, in fixed blocks of whole rows (about 128 KB each) spread over `pool`.
+/// A one-block output -- every serving-sized one -- is zeroed inline without
+/// waking the pool.
+void zero_output(ThreadPool& pool, value_t* out, index_t rows, index_t cols) {
+  const std::size_t elems = static_cast<std::size_t>(rows) * cols;
+  if (elems == 0) return;
+  constexpr std::size_t kBlockElems = std::size_t{1} << 15;
+  const std::size_t block = std::max<std::size_t>(1, kBlockElems / cols) * cols;
+  pool.parallel_for(ceil_div(elems, block), 1, [&](std::size_t b) {
+    std::fill(out + b * block, out + std::min(elems, (b + 1) * block), value_t{0});
+  });
+}
+
+/// The sim oracle's execution of one request on the primary device `dev`.
+/// The simulator models a GPU, so its I/O goes through device buffers:
+/// factors are transferred in, the output is zero-filled on the device and
+/// transferred back (every run: CP-ALS mutates the factors between calls).
+void exec_sim(sim::Device& dev, const OpRequest& req) {
+  const OpPlan& p = *req.plan;
+  const std::size_t nprod = p.product_modes.size();
+  const index_t r0 = req.inputs[0].cols;
+  const index_t r1 = req.inputs.size() > 1 ? req.inputs[1].cols : 1;
+  const index_t cols = req.out_cols;
+  const std::size_t out_elems = static_cast<std::size_t>(req.out_rows) * cols;
+
+  std::array<sim::DeviceBuffer<value_t>, kMaxProductModes> fac;
+  std::array<const value_t*, kMaxProductModes> fc{};
+  for (std::size_t i = 0; i < nprod; ++i) {
+    const HostMatrixView& in = req.inputs[i];
+    const std::size_t elems = static_cast<std::size_t>(in.rows) * in.cols;
+    fac[i] = dev.alloc<value_t>(elems);
+    fac[i].copy_from_host({in.data, elems});
+    fc[i] = fac[i].data();
+  }
+  sim::DeviceBuffer<value_t> out_buf = dev.alloc<value_t>(out_elems);
+  out_buf.fill(value_t{0});
+
+  if (p.nnz != 0 && cols != 0) {
+    const core::UnifiedPlan& up = p.unified_plan();
+    const core::FcooView view = up.view();
+    const core::OutView out_view{out_buf.data(), cols, cols};
+    std::array<const index_t*, kMaxProductModes> px{};
+    for (std::size_t i = 0; i < nprod; ++i) px[i] = up.product_indices(i).data();
+    with_expr_maker(p.kind, nprod, r0, r1, [&](auto maker) {
+      const auto expr = maker(px.data(), fc.data());
+      const core::UnifiedOptions ropt = up.resolve_options(cols, req.options);
+      const sim::LaunchConfig cfg = up.launch_config(cols, ropt);
+      std::unique_ptr<sim::CarryChain> chain;
+      if (ropt.strategy == core::ReduceStrategy::kAdjacentSync) {
+        chain = std::make_unique<sim::CarryChain>(cfg.total_blocks(), ropt.column_tile);
+      }
+      sim::launch(dev, cfg, [&](sim::BlockCtx& blk) {
+        core::unified_block_program(blk, view, out_view, ropt, expr, chain.get());
+      });
+    });
+  }
+  out_buf.copy_to_host({req.out, out_elems});
+}
+
 }  // namespace
 
 const char* op_kind_name(OpKind kind) {
@@ -221,6 +288,10 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
   if (kind == OpKind::kSpTTMc) UST_EXPECTS(tensor.order() == 3);
   const core::ModePlan mp = mode_plan_for(kind, tensor.order(), mode);
   UST_EXPECTS(mp.product_modes.size() <= kMaxProductModes);
+  // Plan acquisition is its own layer in traces: `hit` says whether the
+  // bundle came from a cache, `fingerprint_computed` whether this call paid
+  // the O(nnz) content hash (a warm solve on an unchanged tensor never does).
+  obs::Span obs_span("engine.plan");
 
   auto p = std::make_shared<OpPlan>();
   p->kind = kind;
@@ -228,11 +299,13 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
   p->mode = mode;
   p->part = part;
   p->stream = stream;
-  // Fingerprinted because the per-device (replica + shard) caches are shared
-  // across ops and tensors, so keys must carry the tensor identity. Streaming
-  // plans never touch those caches (chunk plans are transient, and sharded
-  // streaming bypasses acquire_shard_plan), so they skip the O(nnz) pass.
-  if (!stream.enabled) p->tensor_fp = pipeline::coo_fingerprint(tensor);
+  // Keyed on content because the per-device (replica + shard) caches are
+  // shared across ops and tensors. Streaming plans never touch those caches
+  // (chunk plans are transient, and sharded streaming bypasses
+  // acquire_shard_plan), so they leave the id alone.
+  const bool hashes = !stream.enabled && !tensor.has_content_id();
+  obs_span.arg("fingerprint_computed", hashes ? 1 : 0);
+  if (!stream.enabled) p->tensor_fp = tensor.content_id();
 
   if (stream.enabled) {
     auto f = std::make_shared<FcooTensor>(
@@ -250,6 +323,7 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
       }
     }
     p->fcoo = std::move(f);
+    obs_span.arg("hit", 0);
     return p;
   }
 
@@ -263,12 +337,11 @@ std::shared_ptr<const OpPlan> Engine::plan(const CooTensor& tensor, OpKind kind,
   pipeline::PlanCache* cache =
       external_cache != nullptr ? external_cache : (use_engine_cache ? engine_cache : nullptr);
   // acquire_plan builds outside the cache lock and keys on the *mode plan's*
-  // op, so SpTTV shares SpMTTKRP's entries -- identical layout. The
-  // fingerprint computed above is reused for the key (one O(nnz) pass, not
-  // two).
+  // op, so SpTTV shares SpMTTKRP's entries -- identical layout.
+  bool hit = false;
   p->bundle = pipeline::acquire_plan(*dev0, tensor, mp, part, cache,
-                                     /*want_coords=*/kind == OpKind::kSpTTM,
-                                     p->tensor_fp);
+                                     /*want_coords=*/kind == OpKind::kSpTTM, &hit);
+  obs_span.arg("hit", hit ? 1 : 0);
   p->dims = p->bundle->plan.dims();
   p->index_modes = p->bundle->plan.index_modes();
   p->product_modes = p->bundle->plan.product_modes();
@@ -295,8 +368,14 @@ void Engine::validate_request(const OpRequest& req) const {
   }
   UST_EXPECTS(req.out_cols == expected_out_cols(p.kind, req.inputs));
   UST_EXPECTS(req.out_rows == p.out_rows());
-  UST_EXPECTS(req.out != nullptr ||
-              static_cast<std::size_t>(req.out_rows) * req.out_cols == 0);
+  const std::size_t out_elems = static_cast<std::size_t>(req.out_rows) * req.out_cols;
+  UST_EXPECTS(req.out != nullptr || out_elems == 0);
+  // Native jobs zero and accumulate into `out` while reading the inputs, so
+  // an output overlapping any input would silently corrupt the result.
+  for (const HostMatrixView& in : req.inputs) {
+    UST_EXPECTS(!ranges_overlap(req.out, out_elems, in.data,
+                                static_cast<std::size_t>(in.rows) * in.cols));
+  }
 }
 
 std::shared_ptr<const pipeline::CachedPlan> Engine::replica_plan(unsigned d,
@@ -379,7 +458,7 @@ void Engine::prewarm(const OpPlan& plan) {
   for (unsigned d = 1; d < n; ++d) (void)replica_plan(d, plan);
 }
 
-void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* const> reqs) {
+void Engine::exec_batch(unsigned d, std::span<const OpRequest* const> reqs) {
   const std::size_t n = reqs.size();
   UST_EXPECTS(n >= 1);
   // Trace id comes from the thread-local context (installed by worker_loop /
@@ -395,6 +474,11 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
     devp = &group_->device(d);
   }
   sim::Device& dev = *devp;
+  if (opt.backend == core::ExecBackend::kSim) {
+    UST_EXPECTS(n == 1 && d == 0);  // sim requests never batch and run via run()
+    exec_sim(dev, first);
+    return;
+  }
 
   // Batches are formed from pairwise batch_compatible() requests, so every
   // shape and grid parameter below is shared by the whole batch.
@@ -402,70 +486,19 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
   const index_t r0 = first.inputs[0].cols;
   const index_t r1 = first.inputs.size() > 1 ? first.inputs[1].cols : 1;
   const index_t cols = first.out_cols;
-  const std::size_t out_elems = static_cast<std::size_t>(first.out_rows) * cols;
 
-  // Takes a staging buffer of exactly `elems` floats from the device's
-  // scratch pool (jobs on this device are serialised by exec_mutex, which we
-  // hold), or allocates one. Steady traffic -- CP-ALS iterations cycling the
-  // same few sizes -- reuses instead of re-allocating, as the per-op staging
-  // members did before the engine refactor.
-  const auto take = [&](std::size_t elems) {
-    for (auto it = rt.scratch.begin(); it != rt.scratch.end(); ++it) {
-      if (it->size() == elems) {
-        sim::DeviceBuffer<value_t> b = std::move(*it);
-        rt.scratch.erase(it);
-        return b;
-      }
-    }
-    return dev.alloc<value_t>(elems);
-  };
-
-  // Stage every request's product-mode inputs and output on the target
-  // device (transfers are re-done every run: CP-ALS mutates the factors
-  // between calls). fcs[j] are request j's factor pointers, out_views[j] its
-  // zero-filled output tile.
-  std::vector<sim::DeviceBuffer<value_t>> fac(n * nprod);
+  // Zero-copy I/O: the native kernels read the caller's factors and
+  // accumulate into the caller's outputs in place (fcs[j] are request j's
+  // factor pointers, out_views[j] its output), zeroed first on the device
+  // pool.
   std::vector<std::array<const value_t*, kMaxProductModes>> fcs(n);
-  std::vector<sim::DeviceBuffer<value_t>> out_bufs(n);
   std::vector<core::OutView> out_views(n);
   for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < nprod; ++i) {
-      const HostMatrixView& in = reqs[j]->inputs[i];
-      const std::size_t elems = static_cast<std::size_t>(in.rows) * in.cols;
-      sim::DeviceBuffer<value_t>& b = fac[j * nprod + i];
-      b = take(elems);
-      b.copy_from_host({in.data, elems});
-      fcs[j][i] = b.data();
-    }
-    out_bufs[j] = take(out_elems);
-    out_bufs[j].fill(value_t{0});
-    out_views[j] = core::OutView{out_bufs[j].data(), cols, cols};
+    for (std::size_t i = 0; i < nprod; ++i) fcs[j][i] = reqs[j]->inputs[i].data;
+    out_views[j] = core::OutView{reqs[j]->out, cols, cols};
+    zero_output(dev.pool(), reqs[j]->out, reqs[j]->out_rows, cols);
   }
-
-  // Returns the staging buffers to the pool (bounded; oldest evicted) once
-  // the run has copied its results out. The cap leaves room for a full
-  // batch's working set so a steady same-plan burst reuses every buffer.
-  const auto retire = [&] {
-    const std::size_t max_pooled = std::max<std::size_t>(16, max_batch_ * 4);
-    for (auto& b : fac) {
-      if (!b.empty()) rt.scratch.push_back(std::move(b));
-    }
-    for (auto& b : out_bufs) {
-      if (!b.empty()) rt.scratch.push_back(std::move(b));
-    }
-    while (rt.scratch.size() > max_pooled) rt.scratch.erase(rt.scratch.begin());
-  };
-  const auto copy_out = [&] {
-    for (std::size_t j = 0; j < n; ++j) {
-      out_bufs[j].copy_to_host({reqs[j]->out, out_elems});
-    }
-  };
-
-  if (p.nnz == 0 || cols == 0) {
-    copy_out();
-    retire();
-    return;
-  }
+  if (p.nnz == 0 || cols == 0) return;
 
   if (p.stream.enabled) {
     UST_EXPECTS(n == 1);  // streaming requests never batch
@@ -482,16 +515,12 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
           },
           opt.rank_block);
     });
-    copy_out();
-    retire();
     return;
   }
 
   // Device-resident plan: the primary bundle on device 0, a cached
-  // whole-range replica elsewhere (native only -- the simulator runs through
-  // run(), always on the primary, where the UnifiedPlan lives). Compatible
-  // requests share the plan by construction, so one view serves the whole
-  // batch.
+  // whole-range replica elsewhere. Compatible requests share the plan by
+  // construction, so one view serves the whole batch.
   std::shared_ptr<const pipeline::CachedPlan> replica;
   core::FcooView view;
   std::array<const index_t*, kMaxProductModes> px{};
@@ -500,43 +529,25 @@ void Engine::exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* con
     view = up.view();
     for (std::size_t i = 0; i < nprod; ++i) px[i] = up.product_indices(i).data();
   } else {
-    UST_EXPECTS(opt.backend == core::ExecBackend::kNative);
     replica = replica_plan(d, p);
     view = replica->chunk->view();
     for (std::size_t i = 0; i < nprod; ++i) px[i] = replica->chunk->product_indices(i);
   }
 
   with_expr_maker(p.kind, nprod, r0, r1, [&](auto maker) {
-    if (opt.backend == core::ExecBackend::kNative) {
-      using Expr = decltype(maker(px.data(), fcs[0].data()));
-      std::vector<Expr> exprs;
-      exprs.reserve(n);
-      for (std::size_t j = 0; j < n; ++j) exprs.push_back(maker(px.data(), fcs[j].data()));
-      core::native::execute_batched(dev, view, out_views,
-                                    std::span<const Expr>(exprs.data(), exprs.size()),
-                                    opt.chunk_nnz, opt.rank_block);
-      return;
-    }
-    UST_EXPECTS(n == 1);  // sim-backend requests never batch
-    const auto expr = maker(px.data(), fcs[0].data());
-    const core::UnifiedPlan& up = p.unified_plan();
-    const core::UnifiedOptions ropt = up.resolve_options(cols, opt);
-    const sim::LaunchConfig cfg = up.launch_config(cols, ropt);
-    std::unique_ptr<sim::CarryChain> chain;
-    if (ropt.strategy == core::ReduceStrategy::kAdjacentSync) {
-      chain = std::make_unique<sim::CarryChain>(cfg.total_blocks(), ropt.column_tile);
-    }
-    sim::launch(dev, cfg, [&](sim::BlockCtx& blk) {
-      core::unified_block_program(blk, view, out_views[0], ropt, expr, chain.get());
-    });
+    using Expr = decltype(maker(px.data(), fcs[0].data()));
+    std::vector<Expr> exprs;
+    exprs.reserve(n);
+    for (std::size_t j = 0; j < n; ++j) exprs.push_back(maker(px.data(), fcs[j].data()));
+    core::native::execute_batched(dev, view, out_views,
+                                  std::span<const Expr>(exprs.data(), exprs.size()),
+                                  opt.chunk_nnz, opt.rank_block);
   });
-  copy_out();
-  retire();
 }
 
-void Engine::exec_single(unsigned d, DeviceRt& rt, const OpRequest& req) {
+void Engine::exec_single(unsigned d, const OpRequest& req) {
   const OpRequest* ptr = &req;
-  exec_batch(d, rt, std::span<const OpRequest* const>(&ptr, 1));
+  exec_batch(d, std::span<const OpRequest* const>(&ptr, 1));
 }
 
 bool Engine::batch_compatible(const OpRequest& a, const OpRequest& b) {
@@ -585,7 +596,7 @@ void Engine::run(const OpRequest& req) {
   std::lock_guard exec(rt->exec_mutex);
   const obs::ScopedTraceId obs_id(req.trace_id != 0 ? req.trace_id
                                                     : obs::current_trace_id());
-  exec_single(0, *rt, req);
+  exec_single(0, req);
 }
 
 void Engine::run_batched(const BatchedRequest& batch) {
@@ -593,6 +604,20 @@ void Engine::run_batched(const BatchedRequest& batch) {
   for (const OpRequest& req : batch.requests) {
     validate_request(req);
     core::validate(req.plan->part, req.options, req.plan->stream);
+  }
+  // A fused pass zeroes and accumulates every output in place while reading
+  // every input, so no output may overlap another request's output or input.
+  for (const OpRequest& a : batch.requests) {
+    const std::size_t out_elems = static_cast<std::size_t>(a.out_rows) * a.out_cols;
+    for (const OpRequest& b : batch.requests) {
+      if (&a == &b) continue;
+      UST_EXPECTS(!ranges_overlap(a.out, out_elems, b.out,
+                                  static_cast<std::size_t>(b.out_rows) * b.out_cols));
+      for (const HostMatrixView& in : b.inputs) {
+        UST_EXPECTS(!ranges_overlap(a.out, out_elems, in.data,
+                                    static_cast<std::size_t>(in.rows) * in.cols));
+      }
+    }
   }
   // Greedy run-length fusion: adjacent compatible requests execute as one
   // pass; anything unfusable (streaming, sharded, sim backend, or simply
@@ -627,7 +652,7 @@ void Engine::run_batched(const BatchedRequest& batch) {
       std::vector<const OpRequest*> reqs;
       reqs.reserve(len);
       for (std::size_t j = 0; j < len; ++j) reqs.push_back(&batch.requests[i + j]);
-      exec_batch(0, *rt, std::span<const OpRequest* const>(reqs.data(), reqs.size()));
+      exec_batch(0, std::span<const OpRequest* const>(reqs.data(), reqs.size()));
     }
     {
       std::lock_guard lock(state_mutex_);
@@ -668,14 +693,10 @@ void Engine::run_sharded_impl(const OpRequest& req, shard::Report* report) {
 
 void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
   const OpPlan& p = *req.plan;
-  const unsigned n = std::max(1u, req.options.shard.num_devices);
-  std::vector<DeviceRt*> rts;
   sim::Device* dev0 = nullptr;
   {
     std::lock_guard lock(state_mutex_);
-    UST_EXPECTS(rt_.size() >= n);
-    rts.reserve(n);
-    for (unsigned d = 0; d < n; ++d) rts.push_back(&rt_[d]);
+    UST_EXPECTS(rt_.size() >= std::max(1u, req.options.shard.num_devices));
     dev0 = &group_->device(0);
   }
 
@@ -683,53 +704,24 @@ void Engine::exec_sharded_body(const OpRequest& req, shard::Report* report) {
   const index_t r0 = req.inputs[0].cols;
   const index_t r1 = req.inputs.size() > 1 ? req.inputs[1].cols : 1;
   const index_t cols = req.out_cols;
-  const std::size_t out_elems = static_cast<std::size_t>(req.out_rows) * cols;
-  const std::span<value_t> host_out{req.out, out_elems};
 
-  // The final output buffer comes from device 0's scratch pool (we hold its
-  // exec_mutex), so repeat sharded runs -- CP-ALS iterations -- reuse it.
-  sim::DeviceBuffer<value_t> out_buf;
-  for (auto it = rts[0]->scratch.begin(); it != rts[0]->scratch.end(); ++it) {
-    if (it->size() == out_elems) {
-      out_buf = std::move(*it);
-      rts[0]->scratch.erase(it);
-      break;
-    }
-  }
-  if (out_buf.size() != out_elems) out_buf = dev0->alloc<value_t>(out_elems);
-  out_buf.fill(value_t{0});
-  const core::OutView out_view{out_buf.data(), cols, cols};
+  // Zero-copy I/O, as in exec_batch: every shard reads the caller's factors,
+  // and the range merge and carry fold accumulate into the caller's output.
+  zero_output(dev0->pool(), req.out, req.out_rows, cols);
+  const core::OutView out_view{req.out, cols, cols};
+  std::array<const value_t*, kMaxProductModes> fc{};
+  for (std::size_t i = 0; i < nprod; ++i) fc[i] = req.inputs[i].data;
 
   with_expr_maker(p.kind, nprod, r0, r1, [&](auto maker) {
-    // Inputs are staged per shard device, lazily, inside the expression
-    // factory (shards run in device order, so one buffer set suffices).
-    std::vector<sim::DeviceBuffer<value_t>> sfac(nprod);
-    unsigned staged_for = ~0u;
     shard::execute(*group_, p.host(), p.part, out_view, req.options, p.stream,
                    p.cache_op, p.mode, p.tensor_fp,
-                   [&](sim::Device& sdev, unsigned dd, const pipeline::ChunkPlan& c) {
-                     if (staged_for != dd) {
-                       for (std::size_t i = 0; i < nprod; ++i) {
-                         const HostMatrixView& in = req.inputs[i];
-                         const std::size_t elems =
-                             static_cast<std::size_t>(in.rows) * in.cols;
-                         sfac[i] = sdev.alloc<value_t>(elems);
-                         sfac[i].copy_from_host({in.data, elems});
-                       }
-                       staged_for = dd;
-                     }
+                   [&](const pipeline::ChunkPlan& c) {
                      std::array<const index_t*, kMaxProductModes> px{};
-                     std::array<const value_t*, kMaxProductModes> fc{};
-                     for (std::size_t i = 0; i < nprod; ++i) {
-                       px[i] = c.product_indices(i);
-                       fc[i] = sfac[i].data();
-                     }
+                     for (std::size_t i = 0; i < nprod; ++i) px[i] = c.product_indices(i);
                      return maker(px.data(), fc.data());
                    },
                    report);
   });
-  out_buf.copy_to_host(host_out);
-  if (!out_buf.empty()) rts[0]->scratch.push_back(std::move(out_buf));
 }
 
 double Engine::predict_locked(OpKind kind, double x) const {
@@ -1113,7 +1105,7 @@ void Engine::worker_loop(unsigned d, DeviceRt* rt) {
         reqs.reserve(batch.size());
         for (const Job& j : batch) reqs.push_back(&j.req);
         const obs::ScopedTraceId obs_id(batch.front().req.trace_id);
-        exec_batch(d, *rt, std::span<const OpRequest* const>(reqs.data(), reqs.size()));
+        exec_batch(d, std::span<const OpRequest* const>(reqs.data(), reqs.size()));
       } catch (...) {
         err = std::current_exception();
       }

@@ -130,8 +130,11 @@ struct OpPlan {
 /// Type-erased execution request: op kind + mode live in the plan; inputs are
 /// the product-mode factors in ascending mode order (vectors as single-column
 /// matrices); `out` is a caller-owned out_rows x out_cols row-major buffer,
-/// overwritten by the run (no pre-zeroing needed). The buffer and the inputs
-/// must stay alive until the run returns (or the submit future resolves).
+/// overwritten by the run (no pre-zeroing needed). Native runs read the
+/// inputs and write `out` in place (no staging copies), so `out` must not
+/// overlap any input (validated), nor be used by another request in flight.
+/// The buffer and the inputs must stay alive and unmodified until the run
+/// returns (or the submit future resolves).
 struct OpRequest {
   /// Scheduling class (DESIGN.md §15). kBatch is throughput work, served in
   /// queue order. kLatency jobs may jump ahead of batch backlog on their
@@ -201,7 +204,8 @@ struct EngineOptions {
 /// stream; anything else (streaming, sharded, sim, or mismatched) executes
 /// sequentially in its position. Either way every request's result is
 /// bitwise identical to running it alone, so callers (CP-ALS inner
-/// iterations, same-plan request bursts) batch freely.
+/// iterations, same-plan request bursts) batch freely. No request's output
+/// may overlap another request's output or inputs (validated).
 struct BatchedRequest {
   std::vector<OpRequest> requests;
 };
@@ -430,12 +434,6 @@ class Engine {
     // One in-flight job per device: the per-device admission lock, shared
     // with synchronous run()/run_sharded().
     std::mutex exec_mutex;
-    // Staging-buffer pool (guarded by exec_mutex: only the device's one
-    // in-flight job touches it). Jobs return their factor/output buffers
-    // here and later runs with matching sizes reuse them -- the
-    // cross-iteration reuse the per-op front-ends used to hold as members
-    // (CP-ALS runs three ops per iteration on one device).
-    std::vector<sim::DeviceBuffer<value_t>> scratch;
   };
 
   /// Per-op-kind online least-squares fit of exec seconds against
@@ -472,12 +470,12 @@ class Engine {
   static bool batch_compatible(const OpRequest& a, const OpRequest& b);
   /// Single-device execution of reqs on device d: one request follows the
   /// full sim / native / streaming dispatch; two or more (callers guarantee
-  /// pairwise batch compatibility) stage per-request factors and outputs and
-  /// run core::native::execute_batched. Caller holds rt.exec_mutex (rt is
-  /// device d's runtime slot).
-  void exec_batch(unsigned d, DeviceRt& rt, std::span<const OpRequest* const> reqs);
+  /// pairwise batch compatibility) run core::native::execute_batched. Native
+  /// requests read their inputs and write their outputs in place (DESIGN.md
+  /// §11). Caller holds device d's exec_mutex.
+  void exec_batch(unsigned d, std::span<const OpRequest* const> reqs);
   /// exec_batch of one.
-  void exec_single(unsigned d, DeviceRt& rt, const OpRequest& req);
+  void exec_single(unsigned d, const OpRequest& req);
   /// Cache-or-build the whole-range plan for `plan` on replica device d.
   std::shared_ptr<const pipeline::CachedPlan> replica_plan(unsigned d, const OpPlan& plan);
 

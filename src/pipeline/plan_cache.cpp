@@ -25,23 +25,6 @@ std::size_t CachedPlan::bytes() const {
   return b;
 }
 
-std::uint64_t coo_fingerprint(const CooTensor& tensor) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, static_cast<std::uint64_t>(tensor.order()));
-  for (index_t d : tensor.dims()) mix(h, d);
-  mix(h, tensor.nnz());
-  for (int m = 0; m < tensor.order(); ++m) {
-    for (index_t i : tensor.mode_indices(m)) mix(h, i);
-  }
-  for (value_t v : tensor.values()) {
-    std::uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    mix(h, bits);
-  }
-  return h;
-}
-
 std::size_t PlanCache::KeyHash::operator()(const PlanKey& k) const noexcept {
   std::uint64_t h = kFnvOffset;
   mix(h, reinterpret_cast<std::uintptr_t>(k.device));
@@ -203,18 +186,10 @@ std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
                                                const CooTensor& tensor,
                                                const core::ModePlan& mp,
                                                const Partitioning& part, PlanCache* cache,
-                                               bool want_coords) {
-  // The fingerprint only keys the cache; skip the O(nnz) pass when uncached.
-  return acquire_plan(device, tensor, mp, part, cache, want_coords,
-                      cache != nullptr ? coo_fingerprint(tensor) : 0);
-}
-
-std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
-                                               const CooTensor& tensor,
-                                               const core::ModePlan& mp,
-                                               const Partitioning& part, PlanCache* cache,
-                                               bool want_coords, std::uint64_t tensor_fp) {
+                                               bool want_coords, bool* hit) {
+  bool built = false;
   const auto build = [&] {
+    built = true;
     Timer build_timer;
     const FcooTensor fcoo = FcooTensor::build(tensor, mp.index_modes, mp.product_modes);
     CachedPlan cached{core::UnifiedPlan(device, fcoo, part), {}, nullptr};
@@ -228,10 +203,16 @@ std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
     cached.build_s = build_timer.seconds();
     return cached;
   };
-  if (cache == nullptr) return std::make_shared<const CachedPlan>(build());
-  const PlanKey key{&device, tensor_fp, mp.op, mp.target_mode,
-                    part.threadlen, part.block_size};
-  return cache->get_or_build(key, build);
+  std::shared_ptr<const CachedPlan> plan;
+  if (cache == nullptr) {
+    plan = std::make_shared<const CachedPlan>(build());
+  } else {
+    const PlanKey key{&device, tensor.content_id(), mp.op, mp.target_mode,
+                      part.threadlen, part.block_size};
+    plan = cache->get_or_build(key, build);
+  }
+  if (hit != nullptr) *hit = !built;
+  return plan;
 }
 
 }  // namespace ust::pipeline

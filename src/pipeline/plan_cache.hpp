@@ -2,7 +2,7 @@
 // sort + coalesce into F-COO, segment table construction, device upload --
 // dominates a single kernel run for real tensors, and CP-ALS/Tucker rebuild
 // identical per-mode plans on every solver invocation. The cache keys plans
-// on (device, tensor fingerprint, operation, mode, partitioning, shard
+// on (device, CooTensor::content_id(), operation, mode, partitioning, shard
 // slice), holds them behind shared_ptr so eviction never invalidates a plan
 // in use, and evicts least-recently-used entries once a device-byte budget
 // is exceeded. The sharded executor (src/shard/) keeps one PlanCache per
@@ -25,13 +25,6 @@
 namespace ust::pipeline {
 
 struct ChunkPlan;
-
-/// Order-independent-free content fingerprint of a COO tensor: hashes dims,
-/// nnz, every index array and the raw value bits (FNV-1a over words). Two
-/// tensors with equal fingerprints are treated as identical by the cache;
-/// the linear pass is orders of magnitude cheaper than the sort the cache
-/// avoids.
-std::uint64_t coo_fingerprint(const CooTensor& tensor);
 
 /// What the cache stores per key. Whole-tensor entries (acquire_plan) carry
 /// the device-resident UnifiedPlan plus the host copies of the per-segment
@@ -186,24 +179,18 @@ class PlanCache {
 
 /// Single plan-acquisition path (now called by engine::Engine::plan on
 /// behalf of all four unified ops): builds the F-COO + UnifiedPlan bundle
-/// for `mp` on `part`, going through `cache` when non-null (keyed on the
-/// *mode plan's* op, so SpTTV -- which reuses the SpMTTKRP mode split and
-/// therefore an identical plan -- shares SpMTTKRP's cache entries).
-/// `want_coords` additionally captures the host per-segment index-mode
-/// coordinates in the bundle (SpTTM's output assembly). The returned
-/// shared_ptr alone keeps the bundle alive, cached or not. The second
-/// overload takes a precomputed coo_fingerprint(tensor) so callers that
-/// already fingerprinted (the engine keys its per-device caches on it) do
-/// not pay the O(nnz) pass twice.
+/// for `mp` on `part`, going through `cache` when non-null (keyed on
+/// tensor.content_id() and the *mode plan's* op, so SpTTV -- which reuses
+/// the SpMTTKRP mode split and therefore an identical plan -- shares
+/// SpMTTKRP's cache entries). `want_coords` additionally captures the host
+/// per-segment index-mode coordinates in the bundle (SpTTM's output
+/// assembly). `hit`, when non-null, is set to whether the bundle came from
+/// the cache. The returned shared_ptr alone keeps the bundle alive, cached
+/// or not.
 std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
                                                const CooTensor& tensor,
                                                const core::ModePlan& mp,
                                                const Partitioning& part, PlanCache* cache,
-                                               bool want_coords);
-std::shared_ptr<const CachedPlan> acquire_plan(sim::Device& device,
-                                               const CooTensor& tensor,
-                                               const core::ModePlan& mp,
-                                               const Partitioning& part, PlanCache* cache,
-                                               bool want_coords, std::uint64_t tensor_fp);
+                                               bool want_coords, bool* hit = nullptr);
 
 }  // namespace ust::pipeline

@@ -364,18 +364,20 @@ struct TensorOpServer::Impl {
     if (r.remaining() != need) throw ProtocolError("tensor body size mismatch");
 
     CooTensor tensor(dims);
-    std::vector<std::span<const index_t>> cols;
-    cols.reserve(static_cast<std::size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      const auto* p = r.bytes(static_cast<std::size_t>(nnz) * sizeof(index_t));
-      cols.emplace_back(reinterpret_cast<const index_t*>(p), nnz);
-    }
-    const auto* vals = reinterpret_cast<const value_t*>(
-        r.bytes(static_cast<std::size_t>(nnz) * sizeof(value_t)));
+    tensor.reserve(static_cast<nnz_t>(nnz));
+    // The wire columns carry no alignment guarantee, so every element is
+    // read through memcpy (a plain unaligned load).
+    std::vector<const std::uint8_t*> cols(static_cast<std::size_t>(order));
+    for (auto& c : cols) c = r.bytes(static_cast<std::size_t>(nnz) * sizeof(index_t));
+    const std::uint8_t* vals = r.bytes(static_cast<std::size_t>(nnz) * sizeof(value_t));
     std::vector<index_t> idx(static_cast<std::size_t>(order));
-    for (std::uint64_t x = 0; x < nnz; ++x) {
-      for (int m = 0; m < order; ++m) idx[static_cast<std::size_t>(m)] = cols[static_cast<std::size_t>(m)][x];
-      tensor.push_back(idx, vals[x]);
+    for (std::size_t x = 0; x < nnz; ++x) {
+      for (std::size_t m = 0; m < idx.size(); ++m) {
+        std::memcpy(&idx[m], cols[m] + x * sizeof(index_t), sizeof(index_t));
+      }
+      value_t v = 0;
+      std::memcpy(&v, vals + x * sizeof(value_t), sizeof(value_t));
+      tensor.push_back(idx, v);
     }
 
     Tenant& tenant = get_tenant(h.tenant);
@@ -394,6 +396,8 @@ struct TensorOpServer::Impl {
     tenant.tensor_bytes += bytes;
     tensor_bytes_gauge += bytes;
     ++tensors_gauge;
+    // Stored tensors are never mutated, so the first plan for any op or mode
+    // computes the content id and every later one keys on it in O(1).
     tenant.tensors.emplace(tensor_id, Tenant::TensorEntry{std::move(tensor), bytes});
     Writer w;
     write_response_header(w, Status::kOk, h.request_id);

@@ -118,14 +118,13 @@ std::shared_ptr<const pipeline::ChunkPlan> acquire_shard_plan(
 
 /// Executes one unified operation over `host` sharded across the first
 /// opt.shard.num_devices devices of `group` (which may be larger -- the
-/// engine's group only grows). `make_expr(device, device_index, plan)` must
-/// return the op's kernel expression bound to the plan's product-index arrays
-/// and factor data the caller staged on `device` (it is called once per shard
-/// plan, in device order, so per-device staging can be done lazily inside
-/// it). `out` is the final output view on the PRIMARY device,
-/// zero-initialised by the caller. When `stream.enabled`, shards run through
-/// the streaming pipeline in bounded-memory chunks instead of one resident
-/// shard plan (and bypass the shard-plan caches, as streaming always does).
+/// engine's group only grows). `make_expr(plan)` must return the op's kernel
+/// expression bound to the plan's product-index arrays and the caller's
+/// factor data (native devices read host memory, so every shard shares one
+/// copy). `out` is the final output view, zero-initialised by the caller.
+/// When `stream.enabled`, shards run through the streaming pipeline in
+/// bounded-memory chunks instead of one resident shard plan (and bypass the
+/// shard-plan caches, as streaming always does).
 /// `op`/`mode`/`tensor_fp` key the per-device plan caches.
 template <class ExprFactory>
 void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partitioning& part,
@@ -201,7 +200,7 @@ void execute(DeviceGroup& group, const pipeline::HostFcoo& host, const Partition
       // group-wide totals match a single-device run.
       sdev.note_kernel_launch(plan.spec.workers.size());
       const core::FcooView f = plan.view();
-      const auto expr = make_expr(sdev, d, plan);
+      const auto expr = make_expr(plan);
       const std::span<const decltype(expr)> exprs(&expr, 1);
       const std::span<const core::OutView> louts(&lout, 1);
       const std::vector<core::native::Chunk>& workers = plan.spec.workers;

@@ -8,10 +8,76 @@
 
 namespace ust {
 
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+inline void mix(std::uint64_t& h, std::uint64_t v) {
+  h ^= v;
+  h *= kFnvPrime;
+}
+
+}  // namespace
+
 CooTensor::CooTensor(std::vector<index_t> dims) : dims_(std::move(dims)) {
   UST_EXPECTS(!dims_.empty());
   for (index_t d : dims_) UST_EXPECTS(d > 0);
   idx_.resize(dims_.size());
+}
+
+CooTensor::CooTensor(const CooTensor& other)
+    : dims_(other.dims_),
+      idx_(other.idx_),
+      vals_(other.vals_),
+      content_id_(other.content_id_.load(std::memory_order_relaxed)) {}
+
+CooTensor::CooTensor(CooTensor&& other) noexcept
+    : dims_(std::move(other.dims_)),
+      idx_(std::move(other.idx_)),
+      vals_(std::move(other.vals_)),
+      content_id_(other.content_id_.exchange(0, std::memory_order_relaxed)) {}
+
+CooTensor& CooTensor::operator=(const CooTensor& other) {
+  if (this == &other) return *this;
+  dims_ = other.dims_;
+  idx_ = other.idx_;
+  vals_ = other.vals_;
+  content_id_.store(other.content_id_.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+  return *this;
+}
+
+CooTensor& CooTensor::operator=(CooTensor&& other) noexcept {
+  if (this == &other) return *this;
+  dims_ = std::move(other.dims_);
+  idx_ = std::move(other.idx_);
+  vals_ = std::move(other.vals_);
+  content_id_.store(other.content_id_.exchange(0, std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+  return *this;
+}
+
+std::uint64_t CooTensor::content_id() const {
+  std::uint64_t id = content_id_.load(std::memory_order_relaxed);
+  if (id != 0) return id;
+  std::uint64_t h = kFnvOffset;
+  mix(h, static_cast<std::uint64_t>(order()));
+  for (index_t d : dims_) mix(h, d);
+  mix(h, nnz());
+  for (const auto& col : idx_) {
+    for (index_t i : col) mix(h, i);
+  }
+  for (value_t v : vals_) {
+    std::uint32_t bits;
+    static_assert(sizeof(bits) == sizeof(v));
+    __builtin_memcpy(&bits, &v, sizeof(bits));
+    mix(h, bits);
+  }
+  id = h != 0 ? h : 1;  // 0 is the "not computed" sentinel
+  // Concurrent const callers may both get here; they store the same value.
+  content_id_.store(id, std::memory_order_relaxed);
+  return id;
 }
 
 double CooTensor::density() const {
@@ -21,12 +87,14 @@ double CooTensor::density() const {
 }
 
 void CooTensor::reserve(nnz_t n) {
+  forget_content_id();
   for (auto& v : idx_) v.reserve(n);
   vals_.reserve(n);
 }
 
 void CooTensor::push_back(std::span<const index_t> idx, value_t v) {
   UST_EXPECTS(idx.size() == dims_.size());
+  forget_content_id();
   for (std::size_t m = 0; m < dims_.size(); ++m) {
     UST_EXPECTS(idx[m] < dims_[m]);
     idx_[m].push_back(idx[m]);
@@ -36,6 +104,7 @@ void CooTensor::push_back(std::span<const index_t> idx, value_t v) {
 
 void CooTensor::sort_by_modes(std::span<const int> mode_order) {
   UST_EXPECTS(static_cast<int>(mode_order.size()) == order());
+  forget_content_id();
   const nnz_t n = nnz();
   std::vector<nnz_t> perm(n);
   std::iota(perm.begin(), perm.end(), nnz_t{0});
@@ -71,6 +140,7 @@ bool CooTensor::is_sorted_by(std::span<const int> mode_order) const {
 }
 
 nnz_t CooTensor::coalesce() {
+  forget_content_id();
   const nnz_t n = nnz();
   if (n == 0) return 0;
   auto same_coord = [&](nnz_t a, nnz_t b) {

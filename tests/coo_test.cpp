@@ -1,6 +1,9 @@
 // Tests for the COO tensor container: construction, sorting, coalescing,
-// distinct-tuple counting, norms and validation.
+// distinct-tuple counting, norms, validation and the memoised content id.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <thread>
 
 #include "io/generate.hpp"
 #include "tensor/coo.hpp"
@@ -164,6 +167,109 @@ TEST(Coo, SortOrderDoesNotAffectCoalescedContent) {
       for (int m = 0; m < 3; ++m) EXPECT_EQ(norm.index(x, m), ref.index(x, m));
       EXPECT_FLOAT_EQ(norm.value(x), ref.value(x));
     }
+  }
+}
+
+TEST(Coo, ContentIdIsMemoisedAndTracksContent) {
+  const CooTensor t = small_tensor();
+  EXPECT_FALSE(t.has_content_id());
+  const std::uint64_t id = t.content_id();
+  EXPECT_NE(id, 0u);
+  EXPECT_TRUE(t.has_content_id());
+  EXPECT_EQ(t.content_id(), id);
+  // Equal content built separately hashes equal; any changed value, index
+  // or shape hashes differently.
+  EXPECT_EQ(small_tensor().content_id(), id);
+  CooTensor v = small_tensor();
+  v.values()[4] += 1.0f;
+  EXPECT_NE(v.content_id(), id);
+  CooTensor i = small_tensor();
+  i.mode_indices(2)[0] = 2;
+  EXPECT_NE(i.content_id(), id);
+  CooTensor d({2, 3, 5});
+  for (nnz_t x = 0; x < t.nnz(); ++x) {
+    const std::vector<index_t> c{t.index(x, 0), t.index(x, 1), t.index(x, 2)};
+    d.push_back(c, t.value(x));
+  }
+  EXPECT_NE(d.content_id(), id);
+}
+
+TEST(Coo, EveryMutatorClearsContentId) {
+  const std::vector<int> order{2, 0, 1};
+  const std::vector<std::pair<const char*, std::function<void(CooTensor&)>>> mutators{
+      {"push_back", [](CooTensor& t) { t.push_back(std::vector<index_t>{0, 1, 1}, 9.0f); }},
+      {"reserve", [](CooTensor& t) { t.reserve(64); }},
+      {"sort_by_modes", [&](CooTensor& t) { t.sort_by_modes(order); }},
+      {"coalesce",
+       [&](CooTensor& t) {
+         t.sort_by_modes(order);
+         (void)t.content_id();
+         t.coalesce();
+       }},
+      {"mode_indices", [](CooTensor& t) { (void)t.mode_indices(1); }},
+      {"values", [](CooTensor& t) { (void)t.values(); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    CooTensor t = small_tensor();
+    (void)t.content_id();
+    ASSERT_TRUE(t.has_content_id()) << name;
+    mutate(t);
+    EXPECT_FALSE(t.has_content_id()) << name;
+  }
+  // Const access never clears.
+  const CooTensor t = small_tensor();
+  (void)t.content_id();
+  (void)t.values();
+  (void)t.mode_indices(0);
+  EXPECT_TRUE(t.has_content_id());
+}
+
+TEST(Coo, CopyKeepsContentIdAndMovedFromRecomputes) {
+  const CooTensor src = small_tensor();
+  const std::uint64_t id = src.content_id();
+
+  const CooTensor copy = src;
+  EXPECT_TRUE(copy.has_content_id());
+  EXPECT_EQ(copy.content_id(), id);
+  CooTensor assigned(std::vector<index_t>{1});
+  assigned = src;
+  EXPECT_TRUE(assigned.has_content_id());
+  EXPECT_EQ(assigned.content_id(), id);
+
+  CooTensor from = src;
+  const CooTensor moved = std::move(from);
+  EXPECT_TRUE(moved.has_content_id());
+  EXPECT_EQ(moved.content_id(), id);
+  // The moved-from tensor lost its content along with its id: its id is
+  // recomputed from what it holds now.
+  EXPECT_FALSE(from.has_content_id());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(from.content_id(), CooTensor().content_id());
+
+  CooTensor from2 = src;
+  CooTensor target = small_tensor();
+  target.values()[0] = 42.0f;
+  (void)target.content_id();
+  target = std::move(from2);
+  EXPECT_EQ(target.content_id(), id);
+  EXPECT_FALSE(from2.has_content_id());  // NOLINT(bugprone-use-after-move)
+}
+
+// Concurrent const readers may race to compute the memo; every racer must
+// see the same id (and the tsan preset must stay clean).
+TEST(Coo, ConcurrentConstReadersAgreeOnContentId) {
+  const CooTensor base = io::generate_uniform({60, 70, 80}, 50000, 77);
+  const std::uint64_t want = CooTensor(base).content_id();
+  for (int round = 0; round < 4; ++round) {
+    const CooTensor t = io::generate_uniform({60, 70, 80}, 50000, 77);
+    ASSERT_FALSE(t.has_content_id());
+    std::uint64_t a = 0, b = 0;
+    std::thread ta([&] { a = t.content_id(); });
+    std::thread tb([&] { b = t.content_id(); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a, want);
+    EXPECT_EQ(b, want);
+    EXPECT_EQ(t.content_id(), want);
   }
 }
 

@@ -108,6 +108,23 @@ TEST(DenseMatrix, MaxAbsDiffAndNorm) {
   EXPECT_NEAR(DenseMatrix::max_abs_diff(a, b), 4.0, 1e-6);
 }
 
+// Native kernels gather factor rows straight from DenseMatrix storage; a
+// rank-16 row is one cache line only when the storage is 64 B aligned.
+TEST(DenseMatrix, StorageIsCacheLineAligned) {
+  for (index_t rows : {1u, 3u, 1000u, 300000u}) {
+    for (index_t cols : {1u, 5u, 16u}) {
+      DenseMatrix m(rows, cols, 2.0f);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % 64, 0u) << rows << "x" << cols;
+      const DenseMatrix copy = m;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(copy.data()) % 64, 0u);
+      EXPECT_EQ(copy, m);
+      const DenseMatrix moved = std::move(m);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(moved.data()) % 64, 0u);
+      EXPECT_EQ(moved(rows - 1, cols - 1), 2.0f);
+    }
+  }
+}
+
 TEST(DenseTensor, OffsetsAndNorm) {
   DenseTensor t({2, 3, 4});
   EXPECT_EQ(t.size(), 24u);

@@ -1,8 +1,12 @@
 // Tests for the LRU plan cache (src/pipeline/plan_cache.hpp): hit/miss
 // accounting, byte-budget LRU eviction, recency refresh, eviction safety
-// under shared ownership, and end-to-end reuse through the unified ops.
+// under shared ownership, end-to-end reuse through the unified ops, and
+// cold plans after in-place tensor mutation (CooTensor::content_id).
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "baselines/reference.hpp"
 #include "core/spmttkrp.hpp"
 #include "core/spttm.hpp"
 #include "pipeline/plan_cache.hpp"
@@ -28,7 +32,7 @@ PlanKey key_for(const sim::Device& dev, std::uint64_t fp, int mode,
 TEST(PlanCache, HitAndMissCountersTrackLookups) {
   sim::Device dev;
   const CooTensor t = io::generate_uniform({10, 12, 14}, 300, 5);
-  const std::uint64_t fp = coo_fingerprint(t);
+  const std::uint64_t fp = t.content_id();
   PlanCache cache(1u << 30);
 
   int builds = 0;
@@ -56,15 +60,15 @@ TEST(PlanCache, DistinctTensorsAndPartitioningsMiss) {
   const CooTensor a = io::generate_uniform({10, 12, 14}, 300, 5);
   CooTensor b = a;
   b.values()[0] += 1.0f;  // same shape, different content
-  EXPECT_NE(coo_fingerprint(a), coo_fingerprint(b));
+  EXPECT_NE(a.content_id(), b.content_id());
 
   PlanCache cache(1u << 30);
-  (void)cache.get_or_build(key_for(dev, coo_fingerprint(a), 0),
+  (void)cache.get_or_build(key_for(dev, a.content_id(), 0),
                            [&] { return build_plan(dev, a, 0, {}); });
-  (void)cache.get_or_build(key_for(dev, coo_fingerprint(b), 0),
+  (void)cache.get_or_build(key_for(dev, b.content_id(), 0),
                            [&] { return build_plan(dev, b, 0, {}); });
   const Partitioning other{.threadlen = 16, .block_size = 64};
-  (void)cache.get_or_build(key_for(dev, coo_fingerprint(a), 0, other),
+  (void)cache.get_or_build(key_for(dev, a.content_id(), 0, other),
                            [&] { return build_plan(dev, a, 0, other); });
   const PlanCache::Stats s = cache.stats();
   EXPECT_EQ(s.misses, 3u);
@@ -74,7 +78,7 @@ TEST(PlanCache, DistinctTensorsAndPartitioningsMiss) {
 TEST(PlanCache, EvictsLeastRecentlyUsedOnByteBudget) {
   sim::Device dev;
   const CooTensor t = io::generate_uniform({10, 12, 14}, 400, 9);
-  const std::uint64_t fp = coo_fingerprint(t);
+  const std::uint64_t fp = t.content_id();
 
   // Three equal-sized plans: same tensor and mode, different block_size
   // (block_size is launch geometry only -- it changes no plan array). The
@@ -114,7 +118,7 @@ TEST(PlanCache, EvictsLeastRecentlyUsedOnByteBudget) {
 TEST(PlanCache, ContainsProbesWithoutRefreshingRecencyOrCounting) {
   sim::Device dev;
   const CooTensor t = io::generate_uniform({10, 12, 14}, 400, 9);
-  const std::uint64_t fp = coo_fingerprint(t);
+  const std::uint64_t fp = t.content_id();
   const Partitioning pa{.threadlen = 8, .block_size = 64};
   const Partitioning pb{.threadlen = 8, .block_size = 128};
   const Partitioning pc{.threadlen = 8, .block_size = 256};
@@ -138,7 +142,7 @@ TEST(PlanCache, ContainsProbesWithoutRefreshingRecencyOrCounting) {
 TEST(PlanCache, ReplicaFirstEvictsCheapestReplicaBeforePrimaries) {
   sim::Device dev;
   const CooTensor t = io::generate_uniform({10, 12, 14}, 400, 9);
-  const std::uint64_t fp = coo_fingerprint(t);
+  const std::uint64_t fp = t.content_id();
   const Partitioning pa{.threadlen = 8, .block_size = 64};
   const Partitioning pb{.threadlen = 8, .block_size = 128};
   const Partitioning pc{.threadlen = 8, .block_size = 256};
@@ -291,7 +295,7 @@ TEST(PlanCache, ShardSliceKeysAreDistinctFromWholeTensorKeys) {
 TEST(PlanCache, EvictedPlansStayValidWhileHeld) {
   sim::Device dev;
   const CooTensor t = io::generate_uniform({8, 9, 10}, 200, 3);
-  const std::uint64_t fp = coo_fingerprint(t);
+  const std::uint64_t fp = t.content_id();
   PlanCache cache(1);  // evicts everything beyond the newest entry
 
   const auto held =
@@ -307,7 +311,7 @@ TEST(PlanCache, PurgeDeviceDropsOnlyThatDevicesEntries) {
   sim::Device dev_a;
   sim::Device dev_b;
   const CooTensor t = io::generate_uniform({8, 9, 10}, 200, 3);
-  const std::uint64_t fp = coo_fingerprint(t);
+  const std::uint64_t fp = t.content_id();
   PlanCache cache(1u << 30);
 
   (void)cache.get_or_build(key_for(dev_a, fp, 0), [&] { return build_plan(dev_a, t, 0, {}); });
@@ -360,6 +364,92 @@ TEST(PlanCache, OpsShareCachedPlansAndAgreeWithUncached) {
   const SemiSparseTensor y1 = s1.run(u);
   const SemiSparseTensor y2 = s2.run(u);
   EXPECT_EQ(SemiSparseTensor::max_abs_diff(y1, y2), 0.0);
+}
+
+/// Warm-plans an MTTKRP on `t` through one engine, applies `mutate` in place,
+/// and checks that the next plan for the same tensor object is a cold build
+/// whose result is the MTTKRP of the NEW content: it matches the reference
+/// and, bitwise, a plan of the same content on a fresh engine. When
+/// `changes_result`, the mutation changes the MTTKRP itself, so the new
+/// result must also differ from the old one.
+void expect_mutation_gives_cold_plan(CooTensor t, int mode, bool changes_result,
+                                     const std::function<void(CooTensor&)>& mutate) {
+  engine::Engine eng;
+  const auto factors = test::random_factors(t, 6, 41);
+  const auto run = [&](engine::Engine& e, const CooTensor& x) {
+    return core::UnifiedMttkrp(e, x, mode, Partitioning{}).run(factors);
+  };
+  const DenseMatrix before = run(eng, t);
+  (void)run(eng, t);
+  ASSERT_EQ(eng.stats().cache_total.misses, 1u);
+  ASSERT_EQ(eng.stats().cache_total.hits, 1u);
+
+  mutate(t);
+  const DenseMatrix after = run(eng, t);
+  EXPECT_EQ(eng.stats().cache_total.misses, 2u);
+  EXPECT_EQ(eng.stats().cache_total.hits, 1u);
+  EXPECT_LT(test::relative_error(after, baseline::mttkrp_reference(t, mode, factors)),
+            test::kUnifiedTol);
+  engine::Engine fresh;
+  EXPECT_EQ(DenseMatrix::max_abs_diff(after, run(fresh, t)), 0.0);
+  if (changes_result) {
+    EXPECT_GT(DenseMatrix::max_abs_diff(after, before), 0.0);
+  }
+}
+
+TEST(PlanCache, InPlaceValueWriteAfterWarmPlanGivesColdPlan) {
+  Prng rng(51);
+  expect_mutation_gives_cold_plan(test::random_coo3(rng, 20, 800), 0, true, [](CooTensor& t) {
+    t.values()[t.nnz() / 2] += 1.0f;
+  });
+}
+
+TEST(PlanCache, InPlaceIndexWriteAfterWarmPlanGivesColdPlan) {
+  // Move one non-zero to a fresh output row of mode 0 (row dims-1 is kept
+  // empty, so the coordinate stays unique).
+  CooTensor t({12, 9, 10});
+  Prng rng(52);
+  for (int k = 0; k < 300; ++k) {
+    const std::vector<index_t> c{rng.next_index(11), rng.next_index(9), rng.next_index(10)};
+    t.push_back(c, rng.next_float(0.5f, 1.5f));
+  }
+  const std::vector<int> order{0, 1, 2};
+  t.sort_by_modes(order);
+  t.coalesce();
+  expect_mutation_gives_cold_plan(std::move(t), 0, true,
+                                  [](CooTensor& x) { x.mode_indices(0)[0] = 11; });
+}
+
+TEST(PlanCache, SortAndCoalesceAfterWarmPlanGiveColdPlans) {
+  // A new storage order is new content to the cache; the MTTKRP itself
+  // does not change, so compare against the pre-sort result too.
+  Prng rng(53);
+  const CooTensor base = test::random_coo3(rng, 20, 800);
+  const std::vector<int> order{2, 1, 0};
+  {
+    engine::Engine eng;
+    CooTensor t = base;
+    const auto factors = test::random_factors(t, 6, 42);
+    const DenseMatrix before = core::UnifiedMttkrp(eng, t, 1, Partitioning{}).run(factors);
+    (void)core::UnifiedMttkrp(eng, t, 1, Partitioning{});
+    ASSERT_EQ(eng.stats().cache_total.misses, 1u);
+    ASSERT_FALSE(t.is_sorted_by(order));
+    t.sort_by_modes(order);
+    const DenseMatrix after = core::UnifiedMttkrp(eng, t, 1, Partitioning{}).run(factors);
+    EXPECT_EQ(eng.stats().cache_total.misses, 2u);
+    EXPECT_LT(test::relative_error(after, before), test::kUnifiedTol);
+  }
+  // Coalescing duplicates changes nnz and values, but not the MTTKRP beyond
+  // rounding.
+  CooTensor dup = base;
+  for (nnz_t x = 0; x < 20; ++x) {
+    const std::vector<index_t> c{dup.index(x, 0), dup.index(x, 1), dup.index(x, 2)};
+    dup.push_back(c, 0.25f);
+  }
+  dup.sort_by_modes(order);
+  expect_mutation_gives_cold_plan(std::move(dup), 2, false, [](CooTensor& x) {
+    EXPECT_GT(x.coalesce(), 0u);
+  });
 }
 
 }  // namespace
